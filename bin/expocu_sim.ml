@@ -54,27 +54,30 @@ let run_rtl style frames illumination target seed vcd_path obs =
       let result = Synth.Flow.run kind design in
       let nl = result.Synth.Flow.netlist in
       let nsim = Backend.Nl_sim.create nl in
-      Backend.Nl_sim.enable_power_sampler nsim;
-      Some (nl, nsim)
+      let act =
+        Cover.Activity.create ~slots:(Backend.Netlist.net_count nl) ()
+      in
+      Backend.Nl_sim.observe nsim (fun _ -> Cover.Activity.tap act);
+      Some (nl, nsim, act)
     end
     else None
   in
   let set_input name v =
     Rtl_sim.set_input_int sim name v;
     match shadow with
-    | Some (_, ns) -> Backend.Nl_sim.set_input_int ns name v
+    | Some (_, ns, _) -> Backend.Nl_sim.set_input_int ns name v
     | None -> ()
   in
   let step () =
     Rtl_sim.step sim;
     match shadow with
-    | Some (_, ns) -> Backend.Nl_sim.step ns
+    | Some (_, ns, _) -> Backend.Nl_sim.step ns
     | None -> ()
   in
   let run n =
     Rtl_sim.run sim n;
     match shadow with
-    | Some (_, ns) -> Backend.Nl_sim.run ns n
+    | Some (_, ns, _) -> Backend.Nl_sim.run ns n
     | None -> ()
   in
   set_input "ext_reset" 0;
@@ -152,10 +155,7 @@ let run_rtl style frames illumination target seed vcd_path obs =
   let power =
     match shadow with
     | None -> None
-    | Some (nl, ns) ->
-        Option.map
-          (fun act -> Synth.Power_dyn.analyze nl act)
-          (Backend.Nl_sim.power_activity ns)
+    | Some (nl, _, act) -> Some (Synth.Power_dyn.analyze nl act)
   in
   let activity = Rtl_sim.process_activity sim in
   Obs_cli.finish obs ~run:"expocu_sim" ?cover:cover_db ?power

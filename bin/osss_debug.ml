@@ -75,13 +75,22 @@ let read_outputs e =
 let simulate design engine_kind lanes cycles seed fault why_spec ckpt_every
     events_out obs =
   let e, netlist = make_engine design engine_kind lanes fault in
-  if Obs_cli.powering obs then begin
-    if netlist = None then
-      Obs.Log.infof
-        "power sampling needs a netlist engine (--engine netlist|word); \
-         ignoring power flags";
-    Engine.enable_power_sampler e
-  end;
+  let sampled =
+    match netlist with
+    | Some nl when Obs_cli.powering obs ->
+        let act =
+          Cover.Activity.create ~slots:(Backend.Netlist.net_count nl) ()
+        in
+        Engine.observe e (fun _ -> Cover.Activity.tap act);
+        Some (nl, act)
+    | Some _ -> None
+    | None ->
+        if Obs_cli.powering obs then
+          Obs.Log.infof
+            "power sampling needs a netlist engine (--engine netlist|word); \
+             ignoring power flags";
+        None
+  in
   (* Phase 1 — record: no events, checkpoints only.  Cheap. *)
   let cks = ref [] in
   let take_ck () =
@@ -102,12 +111,7 @@ let simulate design engine_kind lanes cycles seed fault why_spec ckpt_every
   (* Power is read off the recording run, before the replay re-executes
      (and would double-count) the window under investigation. *)
   let power =
-    match netlist with
-    | Some nl when Obs_cli.powering obs ->
-        Option.map
-          (fun act -> Synth.Power_dyn.analyze nl act)
-          (Engine.power_activity e)
-    | Some _ | None -> None
+    Option.map (fun (nl, act) -> Synth.Power_dyn.analyze nl act) sampled
   in
   (* Phase 2 — replay the window before the cycle under investigation
      with causal events on.  Rich. *)

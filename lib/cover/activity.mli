@@ -6,10 +6,9 @@
     (slot, count) lists — the raw material for SAIF-style dynamic power
     estimation, where per-window activity becomes per-window power.
 
-    The collector is passive, like {!Toggle}: the simulator detects
-    changes (it already compares old/new values for scheduling) and
-    calls {!record} once per toggled slot, then {!end_cycle} once per
-    clock cycle. *)
+    The collector is passive, like {!Toggle}: subscribed with {!tap}, a
+    simulator calls {!record} once per toggled slot, then {!end_cycle}
+    once per clock cycle. *)
 
 type window = {
   w_index : int;  (** 0-based completed-window index *)
@@ -33,6 +32,11 @@ val record : t -> int -> unit
 (** Advance the window clock by one cycle, closing the current window
     when it reaches the configured size. *)
 val end_cycle : t -> unit
+
+(** The sampler as a simulator subscriber ({!Tap}): changes are
+    {!record}ed regardless of direction, each cycle end is an
+    {!end_cycle}. *)
+val tap : t -> Tap.t
 
 (** Close a partial trailing window so its activity becomes visible in
     {!windows}.  No-op when no cycles are pending; idempotent. *)

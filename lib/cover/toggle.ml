@@ -12,6 +12,8 @@ let record t i ~rising =
   if rising then t.rises.(i) <- t.rises.(i) + 1
   else t.falls.(i) <- t.falls.(i) + 1
 
+let tap t = { Tap.change = record t; cycle_end = ignore }
+
 let bits t = Array.length t.names
 let name t i = t.names.(i)
 let rises t i = t.rises.(i)
@@ -34,6 +36,13 @@ let touched t =
 let coverage t =
   let b = bits t in
   if b = 0 then 1.0 else float_of_int (covered t) /. float_of_int b
+
+let activity t =
+  List.filter_map
+    (fun i ->
+      let n = t.rises.(i) + t.falls.(i) in
+      if n > 0 then Some (t.names.(i), n) else None)
+    (List.init (bits t) Fun.id)
 
 let uncovered ?(k = 10) t =
   let out = ref [] in

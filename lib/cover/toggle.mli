@@ -6,11 +6,9 @@
     each direction — the classic structural-coverage question "did the
     stimulus ever move this wire both ways?".
 
-    The collector itself is passive: the simulators own the change
-    detection (they already compare old/new values for their own
-    scheduling) and call {!record} only for bits that actually changed,
-    so a simulation with coverage disabled pays one branch per changed
-    value and nothing else. *)
+    The collector itself is passive: subscribe it to a simulator with
+    {!tap}, and the simulator's change detection calls {!record} for
+    the bits that moved over each cycle. *)
 
 type t
 
@@ -22,6 +20,10 @@ val create : names:string array -> t
 (** [record t i ~rising] counts one transition on slot [i]:
     a 0->1 edge when [rising], a 1->0 edge otherwise. *)
 val record : t -> int -> rising:bool -> unit
+
+(** The collector as a simulator subscriber ({!Tap}): every reported
+    change is {!record}ed. *)
+val tap : t -> Tap.t
 
 val bits : t -> int
 val name : t -> int -> string
@@ -36,6 +38,10 @@ val touched : t -> int
 
 (** [covered / bits]; 1.0 for an empty collector. *)
 val coverage : t -> float
+
+(** [(name, rises + falls)] of every slot that moved, in slot order —
+    the raw list [Obs.Profile.top] ranks into a "hot nets" table. *)
+val activity : t -> (string * int) list
 
 (** Names of up to [k] (default 10) not-yet-covered bits, in slot order. *)
 val uncovered : ?k:int -> t -> string list

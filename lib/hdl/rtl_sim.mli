@@ -69,29 +69,34 @@ val process_activity : t -> (string * int) list
     runs), sorted by hierarchical process name — the raw material of the
     "hot processes" profile. *)
 
-(** {1 Coverage and observation hooks} *)
+(** {1 Observation tap} *)
 
 val find_var : t -> string -> Ir.var option
 (** Look up a port or local of the flattened design by hierarchical
     name ([u_i2c.slot]); use with {!peek_var}.  Arrays are found too —
     peek those with {!peek_array}. *)
 
+val observe : t -> (string array -> Cover.Tap.t) -> unit
+(** Subscribe to the per-cycle changes of every bit of every scalar
+    port and local of the flattened design (arrays/memories are not
+    tracked): the factory receives the slot names ([var] or [var[i]],
+    hierarchical), and its tap is told each bit whose committed value
+    moved since the previous step's close, then [cycle_end].  Change
+    detection rides the scheduler's dirty marking; before the first
+    [observe] it costs one branch per dirty-marking. *)
+
 val on_step : t -> (t -> unit) -> unit
-(** Register a watcher called after every completed {!step} (post
-    settle), in registration order — the hook FSM coverage sampling and
-    attached assertion monitors use.  Costs one branch per step while
-    no watcher is registered. *)
+(** Subscribe a watcher called after every completed {!step} (post
+    settle), in subscription order with the other subscribers — the
+    hook FSM coverage sampling and attached assertion monitors use.  It
+    observes no slots. *)
 
 val enable_toggle_cover : t -> unit
-(** Start per-bit toggle coverage over every scalar port and local of
-    the flattened design (arrays/memories are not tracked).  Bits are
-    named [var] or [var[i]] with hierarchical var names.  Edges are
-    committed cycle-to-cycle transitions observed at each step's close;
-    change detection rides the scheduler's dirty marking, so a disabled
-    run pays one branch per dirty-marking.  Idempotent. *)
+(** Subscribe one {!Cover.Toggle} collector through {!observe}.
+    Idempotent. *)
 
 val toggle_cover : t -> Cover.Toggle.t option
-(** The live collector, once {!enable_toggle_cover} has been called. *)
+(** The collector {!enable_toggle_cover} subscribed. *)
 
 (** {1 Causal events and checkpointing} *)
 
@@ -107,7 +112,7 @@ type checkpoint
 
 val checkpoint : t -> checkpoint
 (** Deep copy of the simulation state (environment, dirty set, cycle
-    count).  Coverage collectors and watchers are not captured. *)
+    count).  Subscribers are not captured. *)
 
 val restore : t -> checkpoint -> unit
 (** Rewind to a checkpoint taken on the same simulator; re-running the

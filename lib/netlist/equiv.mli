@@ -46,7 +46,10 @@ type divergence = {
           output, from an automatic events-on replay of the shrunk
           window — fault injections along the way appear as [Fault]
           events.  [[]] when the window replay did not re-diverge.
-          Render with [Obs.Causal]. *)
+          Only the replay's own events are kept, their [seq] and
+          [cause] counted from its first event, so the chain does not
+          depend on what else ran in the process (nor on a campaign's
+          [jobs]).  Render with [Obs.Causal]. *)
 }
 
 val pp_mismatch : Format.formatter -> mismatch -> unit

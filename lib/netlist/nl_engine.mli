@@ -15,8 +15,8 @@ val create_word :
     [Engine.get_lane] address individual lanes, plain
     [Engine.set_input] broadcasts to every lane and [Engine.get] reads
     lane 0 — so in a lockstep differential against a scalar engine the
-    golden lane is what gets compared.  [Engine.enable_cover] /
-    [Engine.cover] expose lane 0's toggle collector. *)
+    golden lane is what gets compared.  [Engine.observe] subscribes to
+    lane 0. *)
 
 val pack_word : ?label:string -> Nl_wsim.t -> Engine.t
 (** Wrap an existing word-parallel simulator (e.g. one that already has

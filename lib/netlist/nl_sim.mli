@@ -7,8 +7,8 @@
     a settle re-evaluates only cells whose inputs toggled (one ascending
     sweep over the dirty levels).  {!Full_eval} retains the original
     evaluate-everything behaviour as a bit-identical reference — both
-    modes produce the same output values and the same per-net toggle
-    counts, cycle for cycle. *)
+    modes produce the same output values and report the same net
+    changes to {!observe} subscribers, cycle for cycle. *)
 
 type t
 
@@ -100,10 +100,6 @@ val comb_cells : t -> int
 val dff_cells : t -> int
 (** Number of flip-flops in the design. *)
 
-val net_toggles : t -> Netlist.net -> int
-(** Value transitions observed on a net across clock cycles — the
-    switching activity behind dynamic-power estimation. *)
-
 val net_value : t -> Netlist.net -> bool
 (** Current value of one net (read-only observation point). *)
 
@@ -112,9 +108,6 @@ val probes : t -> (string * Netlist.net) list
     name ({!Netlist.describe_net}, e.g. ["u_hist.count[3]"]).  Port
     nets are excluded — they are observable under their port names. *)
 
-val toggle_total : t -> int
-(** Sum of {!net_toggles} over every net. *)
-
 val full_settles : t -> int
 (** Settles that evaluated every combinational cell: all of them in
     {!Full_eval} mode, only the forced initial pass in
@@ -122,47 +115,37 @@ val full_settles : t -> int
 
 (** {1 Activity profiling}
 
-    Per-net toggle ranking is always available (the toggle counters
-    exist for power estimation anyway); per-cell evaluation counts
-    cost one increment per gate evaluation and are therefore off
-    until {!enable_profile}. *)
+    Per-cell evaluation counts cost one increment per gate evaluation
+    and are therefore off until {!enable_profile}.  Per-net switching
+    activity comes from an {!observe} subscriber. *)
 
 val enable_profile : t -> unit
 (** Start counting evaluations per combinational cell. *)
 
 val profiling : t -> bool
 
-val net_activity : t -> (string * int) list
-(** Nets with at least one toggle, most active first.  Port bits are
-    labelled by name ("bus[3]", or the bare name for 1-bit ports);
-    hinted internal nets by their hierarchical description
-    (["u_hist.count[3]"]), remaining internal nets as ["n<id>"]. *)
-
 val cell_activity : t -> (string * int) list
 (** Evaluations per combinational cell, most evaluated first,
     labelled ["<out-net>:<kind>"].  Empty unless {!enable_profile}
     was called before simulation. *)
 
-(** {1 Toggle coverage} *)
+(** {1 Observation tap} *)
+
+val observe : t -> (string array -> Cover.Tap.t) -> unit
+(** Subscribe to the per-cycle net changes: the factory receives the
+    per-net labels ({!Sched.net_labels}; slot [n] is net [n]) and its
+    tap is then told, at the end of every {!step}, each net whose
+    value differs from the one before the clock edge, followed by one
+    [cycle_end].  Both modes report identical streams.  With no
+    subscriber a step does no change bookkeeping at all.  Subscribers
+    are never removed. *)
 
 val enable_toggle_cover : t -> unit
-(** Start per-net toggle *coverage* (directional 0->1 / 1->0 edges, as
-    opposed to the always-on undirected toggle counters above).  Bits
-    are named like {!net_activity} labels.  Recording piggybacks on the
-    per-cycle toggle accounting in both modes, so a disabled run pays
-    one branch per changed net.  Idempotent. *)
+(** Subscribe one {!Cover.Toggle} collector over all nets (directional
+    0->1 / 1->0 edges).  Idempotent. *)
 
 val toggle_cover : t -> Cover.Toggle.t option
-
-(** Allocate a windowed switching-activity sampler over all nets
-    ([window] cycles per window, default {!Cover.Activity} size).
-    Idempotent; the first call wins.  Both evaluation modes ride the
-    same per-cycle toggle accounting, so their sampled activity is
-    bit-identical. *)
-val enable_power_sampler : ?window:int -> t -> unit
-
-(** The sampler allocated by {!enable_power_sampler}, if any. *)
-val power_activity : t -> Cover.Activity.t option
+(** The collector {!enable_toggle_cover} subscribed. *)
 
 (** {1 Causal events and checkpointing} *)
 
@@ -180,8 +163,8 @@ val enable_events : t -> unit
 type checkpoint
 
 val checkpoint : t -> checkpoint
-(** Deep copy of net values, scheduler state and cycle count.  Toggle
-    counters, coverage and profiles are not captured. *)
+(** Deep copy of net values, scheduler state and cycle count.
+    Subscribers and profiles are not captured. *)
 
 val restore : t -> checkpoint -> unit
 (** Rewind to a checkpoint taken on the same simulator; re-running the

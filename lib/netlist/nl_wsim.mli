@@ -4,13 +4,13 @@
     at 0 in every lane.
 
     Lane 0 is bit-identical to the scalar {!Nl_sim} under the same
-    broadcast stimulus — same output values, same per-net toggle counts
-    ({!net_toggles}), cycle for cycle, in both scheduling modes.  The
-    extra lanes carry independent stimulus streams ({!set_input_lane},
-    {!set_input_packed}), per-lane stuck-at faults
+    broadcast stimulus — same output values, same net changes reported
+    to {!observe} subscribers, cycle for cycle, in both scheduling
+    modes.  The extra lanes carry independent stimulus streams
+    ({!set_input_lane}, {!set_input_packed}), per-lane stuck-at faults
     ({!inject_stuck_at}) for lane-parallel fault campaigns, and
-    per-lane toggle coverage so one run yields one {!Cover.Toggle.t}
-    per seed.
+    per-lane subscribers, so one run yields one {!Cover.Toggle.t} per
+    seed.
 
     Scheduling (topological order, levels, fanout, dirty buckets) is
     shared with {!Nl_sim} through {!Nl_sim.Sched}; in event-driven mode
@@ -108,33 +108,16 @@ val comb_cells : t -> int
 val dff_cells : t -> int
 val full_settles : t -> int
 
-val net_toggles : t -> Netlist.net -> int
-(** Lane-0 transitions per net — comparable 1:1 with
-    {!Nl_sim.net_toggles} under broadcast stimulus. *)
+(** {1 Observation tap} *)
 
-val toggle_total : t -> int
-
-(** {1 Per-lane toggle coverage}
-
-    One collector per lane, so a 64-lane run with per-lane seeds
-    produces 64 seeds' worth of coverage in one simulation; merge them
-    via [Cover.Db.merge] (or sum the per-lane entries) for the
-    multi-seed union. *)
-
-val enable_toggle_cover : t -> unit
-(** Allocates one {!Cover.Toggle.t} per lane (names as in
-    {!Nl_sim.Sched.net_labels}).  Idempotent. *)
-
-val lane_cover : t -> int -> Cover.Toggle.t option
-
-(** Allocate one windowed switching-activity sampler per lane (see
-    {!Cover.Activity}); idempotent.  Lane 0 samples bit-identically to
-    the scalar {!Nl_sim} sampler under the same stimulus. *)
-val enable_power_sampler : ?window:int -> t -> unit
-
-(** The sampler of one lane, or [None] before {!enable_power_sampler}. *)
-val lane_activity : t -> int -> Cover.Activity.t option
-(** The given lane's collector; [None] before {!enable_toggle_cover}. *)
+val observe : t -> lane:int -> (string array -> Cover.Tap.t) -> unit
+(** Subscribe to one lane's per-cycle net changes, exactly as
+    {!Nl_sim.observe} (slot [n] is net [n], labels from
+    {!Nl_sim.Sched.net_labels}).  Subscribing a collector per lane
+    turns a run with per-lane seeds into that many seeds' worth of
+    coverage; merge them via [Cover.Db.merge] for the multi-seed union.
+    While no lane has a subscriber a step does no change bookkeeping.
+    Raises [Invalid_argument] for an out-of-range lane. *)
 
 (** {1 Causal events and checkpointing} *)
 
@@ -153,7 +136,7 @@ type checkpoint
 
 val checkpoint : t -> checkpoint
 (** Deep copy of the packed net values, scheduler state and cycle
-    count.  Fault forces, toggle counters and coverage are not
+    count.  Fault forces and subscribers are not
     captured — a restore keeps whatever faults are currently armed. *)
 
 val restore : t -> checkpoint -> unit

@@ -10,7 +10,8 @@ let make ?(profiles = []) ?coverage ?power ?(extra = []) ~run () =
        ( "counters",
          Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) (Perf.all ())) );
        ("histograms", Hist.all_to_json ());
-       ("gauges", Gauge.all_to_json ());
+       (* Kept empty so v1-v3 documents stay unchanged. *)
+       ("gauges", Json.Obj []);
        ("spans", Span.to_json ());
        ( "profiles",
          Json.Obj (List.map (fun (n, entries) -> (n, Profile.to_json entries)) profiles)

@@ -26,8 +26,9 @@ val make :
   run:string ->
   unit ->
   Json.t
-(** Snapshot the global registries ([Perf], [Hist], [Gauge], [Span])
-    into a report labeled [run].  [coverage] embeds a coverage-db
+(** Snapshot the global registries ([Perf], [Hist], [Span]) into a
+    report labeled [run]; the schema's ["gauges"] object is always
+    empty.  [coverage] embeds a coverage-db
     document (see [Cover.Db.to_json]) as the ["coverage"] section;
     [power] embeds a dynamic-power report (see [Synth.Power_dyn.to_json])
     as the v3 ["power"] section.  [extra] fields are appended at the

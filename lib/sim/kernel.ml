@@ -99,8 +99,9 @@ type t = {
       (* per-process wake counts, recorded by Process on activation *)
   (* Causal events (see Obs.Event): seq of the current delta's open
      event and of the latest process activation, the causes stamped on
-     process wakes.  Gated on the global [Obs.Event.enabled] flag only
+     process wakes.  Off until [enable_events]: one branch each.
      — one branch each while the log is off. *)
+  mutable ev_on : bool;
   mutable ev_delta : int;
   mutable ev_cause : int;
 }
@@ -125,9 +126,16 @@ let create () =
     started = false;
     stop_requested = false;
     wake_tally = Hashtbl.create 16;
+    ev_on = false;
     ev_delta = Obs.Event.no_cause;
     ev_cause = Obs.Event.no_cause;
   }
+
+let enable_events k =
+  k.ev_on <- true;
+  if not (Obs.Event.enabled ()) then Obs.Event.enable ()
+
+let emitting k = k.ev_on && Obs.Event.enabled ()
 
 let now k = k.now
 let delta_count k = k.deltas
@@ -137,7 +145,7 @@ let record_wake k name =
   (match Hashtbl.find_opt k.wake_tally name with
   | Some r -> incr r
   | None -> Hashtbl.replace k.wake_tally name (ref 1));
-  if Obs.Event.enabled () then
+  if emitting k then
     k.ev_cause <-
       Obs.Event.emit ~time:k.now ~cycle:k.deltas ~cause:k.ev_delta
         Obs.Event.Process_run name
@@ -154,7 +162,7 @@ let subscribe_once e f = e.dynamic <- f :: e.dynamic
 
 let notify e =
   let k = e.kernel in
-  if Obs.Event.enabled () then
+  if emitting k then
     ignore
       (Obs.Event.emit ~time:k.now ~cycle:k.deltas ~cause:k.ev_cause
          Obs.Event.Process_wake e.ev_name);
@@ -177,7 +185,7 @@ let stopped k = k.stop_requested
 let run_delta k =
   k.deltas <- k.deltas + 1;
   Perf.incr ctr_deltas;
-  if Obs.Event.enabled () then begin
+  if emitting k then begin
     (* Chain deltas to each other: each open is caused by the previous
        one, giving [why] a spine to walk along between process events. *)
     k.ev_delta <-
@@ -197,7 +205,7 @@ let run_delta k =
   let woken = List.rev k.woken in
   k.woken <- [];
   List.iter (fun f -> Queue.push f k.runnable) woken;
-  if Obs.Event.enabled () then
+  if emitting k then
     ignore
       (Obs.Event.emit ~time:k.now ~cycle:k.deltas ~cause:k.ev_delta
          Obs.Event.Delta_close "delta")

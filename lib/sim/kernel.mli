@@ -44,6 +44,10 @@ val wake_counts : t -> (string * int) list
 (** Per-process wake counts, sorted by name — the kernel-level activity
     profile. *)
 
+val enable_events : t -> unit
+(** Start emitting this kernel's delta and process events into the
+    global [Obs.Event] log (enabling it if needed). *)
+
 (** {1 Events} *)
 
 val make_event : t -> string -> event

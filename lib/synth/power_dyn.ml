@@ -1,7 +1,7 @@
 (* Dynamic power from windowed switching activity.
 
    The estimator folds a Cover.Activity sampler (per-net toggle counts
-   per cycle window, collected by Nl_sim/Nl_wsim) through a cell
+   per cycle window, fed by an Nl_sim/Nl_wsim subscriber) through a cell
    coefficient library into per-window energy/power samples, a total
    energy figure and a per-module attribution keyed by the netlist's
    region tables — the same join the area/timing breakdowns use, so all
@@ -9,8 +9,7 @@
 
    Units: capacitance in fF, voltage in V, so one transition costs
    C*V^2 femtojoules; energies are reported in pJ and powers in mW at
-   the configured clock.  The default library reproduces the static
-   estimator (Backend.Power): every coefficient below is documented so
+   the configured clock.  Every coefficient below is documented so
    the worked example in docs/OBSERVABILITY.md can be checked by
    hand. *)
 
@@ -21,9 +20,7 @@ type lib = {
   leakage_uw_per_ge : float;  (* static power per gate-equivalent *)
 }
 
-(* Generic gate library: load grows with cell drive/area exactly like
-   Backend.Power.cap_ff, so dynamic-power totals here and static
-   averages there agree on the same activity. *)
+(* Generic gate library: load grows with cell drive/area. *)
 let default_lib =
   {
     lib_name = "generic";
@@ -231,7 +228,10 @@ let drive_inputs sim inputs seed c =
 
 let measure ?freq_mhz ?vdd ?lib ?(seed = 42) ?(cycles = 256) ?window nl =
   let sim = Backend.Nl_sim.create nl in
-  Backend.Nl_sim.enable_power_sampler ?window sim;
+  let act =
+    Cover.Activity.create ?window ~slots:(Backend.Netlist.net_count nl) ()
+  in
+  Backend.Nl_sim.observe sim (fun _ -> Cover.Activity.tap act);
   let inputs =
     List.map
       (fun (name, nets) -> (name, Array.length nets))
@@ -241,9 +241,7 @@ let measure ?freq_mhz ?vdd ?lib ?(seed = 42) ?(cycles = 256) ?window nl =
     drive_inputs sim inputs seed c;
     Backend.Nl_sim.step sim
   done;
-  match Backend.Nl_sim.power_activity sim with
-  | Some act -> analyze ?freq_mhz ?vdd ?lib nl act
-  | None -> assert false
+  analyze ?freq_mhz ?vdd ?lib nl act
 
 let to_json r =
   let open Obs.Json in

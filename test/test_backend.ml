@@ -200,25 +200,27 @@ let test_optimize_removes_dead_logic () =
 let test_power_estimation () =
   (* An active counter burns more dynamic power than a held one. *)
   let nl = Backend.Lower.lower (counter_design ()) in
-  let active = Backend.Nl_sim.create nl in
-  Backend.Nl_sim.set_input_int active "reset" 0;
-  Backend.Nl_sim.run active 200;
-  let idle = Backend.Nl_sim.create nl in
-  Backend.Nl_sim.set_input_int idle "reset" 1;
+  let run reset =
+    let sim = Backend.Nl_sim.create nl in
+    let act = Cover.Activity.create ~slots:(N.net_count nl) () in
+    Backend.Nl_sim.observe sim (fun _ -> Cover.Activity.tap act);
+    Backend.Nl_sim.set_input_int sim "reset" reset;
+    Backend.Nl_sim.run sim 200;
+    (Cover.Activity.total_toggles act, Synth.Power_dyn.analyze nl act)
+  in
+  let t_active, p_active = run 0 in
   (* held in reset: the counter stays at zero *)
-  Backend.Nl_sim.run idle 200;
-  let p_active = Backend.Power.estimate nl active in
-  let p_idle = Backend.Power.estimate nl idle in
-  Alcotest.(check bool) "activity measured" true
-    (p_active.Backend.Power.avg_activity > p_idle.Backend.Power.avg_activity);
+  let t_idle, p_idle = run 1 in
+  Alcotest.(check bool) "activity measured" true (t_active > t_idle);
   Alcotest.(check bool) "active burns more" true
-    (p_active.Backend.Power.total_mw > p_idle.Backend.Power.total_mw);
+    (p_active.Synth.Power_dyn.p_avg_mw > p_idle.Synth.Power_dyn.p_avg_mw);
   Alcotest.(check bool) "leakage equal" true
     (abs_float
-       (p_active.Backend.Power.leakage_mw -. p_idle.Backend.Power.leakage_mw)
+       (p_active.Synth.Power_dyn.p_leakage_mw
+       -. p_idle.Synth.Power_dyn.p_leakage_mw)
     < 1e-12);
   Alcotest.(check bool) "idle still pays clock" true
-    (p_idle.Backend.Power.clock_mw > 0.0)
+    (p_idle.Synth.Power_dyn.p_avg_mw > p_idle.Synth.Power_dyn.p_leakage_mw)
 
 let test_netlist_verilog () =
   let nl = Backend.Lower.lower (counter_design ()) in
@@ -245,11 +247,13 @@ let test_netlist_check_catches_dangling () =
 let test_event_driven_matches_full_eval () =
   (* The event-driven scheduler must be indistinguishable from the
      retained full-evaluation reference: same output bits every cycle
-     and the same per-net toggle counts at the end, over randomized
+     and the same per-net rises and falls at the end, over randomized
      ExpoCU stimulus — while actually skipping work. *)
   let nl = Backend.Lower.lower (Expocu.Expocu_top.rtl_top ()) in
   let ev = Backend.Nl_sim.create ~mode:Backend.Nl_sim.Event_driven nl in
   let full = Backend.Nl_sim.create ~mode:Backend.Nl_sim.Full_eval nl in
+  Backend.Nl_sim.enable_toggle_cover ev;
+  Backend.Nl_sim.enable_toggle_cover full;
   let rng = Random.State.make [| 0xE5C0 |] in
   let outputs = List.map fst (N.outputs nl) in
   let drive name v =
@@ -284,13 +288,17 @@ let test_event_driven_matches_full_eval () =
             (Bitvec.to_string a) (Bitvec.to_string b))
       outputs
   done;
-  for n = 0 to N.net_count nl - 1 do
-    if Backend.Nl_sim.net_toggles ev n <> Backend.Nl_sim.net_toggles full n
-    then
-      Alcotest.failf "net %d toggles: event %d <> full %d" n
-        (Backend.Nl_sim.net_toggles ev n)
-        (Backend.Nl_sim.net_toggles full n)
-  done;
+  let edges sim =
+    let c = Option.get (Backend.Nl_sim.toggle_cover sim) in
+    List.init (N.net_count nl) (fun n ->
+        (Cover.Toggle.rises c n, Cover.Toggle.falls c n))
+  in
+  List.iteri
+    (fun n (e, f) ->
+      if e <> f then
+        Alcotest.failf "net %d rises/falls: event %d/%d <> full %d/%d" n
+          (fst e) (snd e) (fst f) (snd f))
+    (List.combine (edges ev) (edges full));
   Alcotest.(check int) "same cycle count" cycles (Backend.Nl_sim.cycles ev);
   Alcotest.(check bool) "event mode skipped work" true
     (Backend.Nl_sim.cells_skipped ev > 0);

@@ -1,5 +1,5 @@
 (* Tests for the osss.obs observability library: the JSON codec, the
-   span tracer, histograms, gauges, Perf snapshots, activity profiles,
+   span tracer, histograms, Perf snapshots, activity profiles,
    the schema-versioned run report, and the span coverage of the
    simulator / synthesis hot paths. *)
 
@@ -131,7 +131,7 @@ let test_span_chrome_export () =
     (Obs.Json.of_string (Obs.Span.chrome_json ()) <> Obs.Json.Null)
 
 (* ------------------------------------------------------------------ *)
-(* Hist / Gauge                                                       *)
+(* Hist                                                                *)
 
 let test_hist () =
   let h = Obs.Hist.histogram "test.hist" in
@@ -170,14 +170,6 @@ let test_hist_percentile () =
     (Obs.Hist.percentile single 400.0);
   Alcotest.(check (float 1e-9)) "empty histogram" 0.0
     (Obs.Hist.percentile (Obs.Hist.histogram "test.pct.empty") 50.0)
-
-let test_gauge () =
-  let g = Obs.Gauge.gauge "test.gauge" in
-  Obs.Gauge.set_int g 7;
-  Obs.Gauge.add g 0.5;
-  Alcotest.(check (float 1e-9)) "value" 7.5 (Obs.Gauge.value g);
-  Alcotest.(check bool) "in all_to_json" true
-    (Obs.Json.member "test.gauge" (Obs.Gauge.all_to_json ()) <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Perf snapshot/diff                                                  *)
@@ -485,6 +477,7 @@ let test_nl_profiling () =
   let nl = Backend.Lower.lower design in
   let sim = Backend.Nl_sim.create nl in
   Backend.Nl_sim.enable_profile sim;
+  Backend.Nl_sim.enable_toggle_cover sim;
   Backend.Nl_sim.set_input_int sim "a" 1;
   Backend.Nl_sim.set_input_int sim "x" 2;
   for i = 0 to 9 do
@@ -497,12 +490,15 @@ let test_nl_profiling () =
     (match cells with
     | (_, a) :: (_, b) :: _ -> a >= b
     | _ -> true);
-  let nets = Backend.Nl_sim.net_activity sim in
+  let tg = Option.get (Backend.Nl_sim.toggle_cover sim) in
+  let nets = Cover.Toggle.activity tg in
   Alcotest.(check bool) "net profile non-empty" true (nets <> []);
   Alcotest.(check bool) "port bits labelled" true
     (List.exists (fun (l, _) -> contains "a[" l || l = "a" || contains "y[" l) nets);
-  Alcotest.(check bool) "toggle_total consistent" true
-    (Backend.Nl_sim.toggle_total sim
+  Alcotest.(check bool) "activity sums rises and falls" true
+    (List.init (Cover.Toggle.bits tg) (fun i ->
+         Cover.Toggle.rises tg i + Cover.Toggle.falls tg i)
+     |> List.fold_left ( + ) 0
     = List.fold_left (fun acc (_, c) -> acc + c) 0 nets)
 
 let suite =
@@ -518,7 +514,6 @@ let suite =
     Alcotest.test_case "histogram" `Quick (pristine test_hist);
     Alcotest.test_case "histogram percentile" `Quick
       (pristine test_hist_percentile);
-    Alcotest.test_case "gauge" `Quick (pristine test_gauge);
     Alcotest.test_case "perf snapshot" `Quick (pristine test_perf_snapshot);
     Alcotest.test_case "profile top" `Quick (pristine test_profile_top);
     Alcotest.test_case "profile by module" `Quick

@@ -170,6 +170,36 @@ let test_campaign_shrunk_identity () =
     (List.map project serial.Backend.Equiv.fault_results
     = List.map project par.Backend.Equiv.fault_results)
 
+let test_campaign_causality_identity () =
+  (* The whole fault results, causal chains included, match across
+     jobs: a replay's chain holds only its own events, with seqs
+     counted from its first one.  The stuck-at-1 on count[0] is
+     detected at cycle 0 and lands in the second shard at jobs 2. *)
+  let nl = Backend.Lower.lower (counter_design ()) in
+  let count = List.assoc "count" (N.outputs nl) in
+  let faults =
+    [
+      { Backend.Equiv.fault_net = count.(2); stuck_at = false };
+      { Backend.Equiv.fault_net = count.(0); stuck_at = true };
+    ]
+  in
+  let run jobs =
+    (Backend.Equiv.fault_campaign ~cycles:300 ~seed:7 ~jobs nl faults)
+      .Backend.Equiv.fault_results
+  in
+  let serial = run 1 and par = run 2 in
+  Alcotest.(check (option int))
+    "second fault detected at cycle 0" (Some 0)
+    (List.nth serial 1).Backend.Equiv.detected_at;
+  Alcotest.(check bool) "a causal chain was recorded" true
+    (List.exists
+       (fun (r : Backend.Equiv.fault_result) ->
+         match r.shrunk with Some d -> d.causality <> [] | None -> false)
+       serial);
+  Alcotest.(check bool)
+    "fault results identical at jobs 1 and 2, causality included" true
+    (serial = par)
+
 (* ------------------------------------------------------------------ *)
 (* Multi-seed coverage merge determinism                               *)
 
@@ -321,6 +351,8 @@ let suite =
       test_campaign_jobs_identity;
     Alcotest.test_case "campaign shrunk identity" `Quick
       test_campaign_shrunk_identity;
+    Alcotest.test_case "campaign causality identity" `Quick
+      test_campaign_causality_identity;
     Alcotest.test_case "multi-seed cover identity" `Quick
       test_multi_seed_cover_identity;
     Alcotest.test_case "differential sweep" `Quick test_differential_sweep;

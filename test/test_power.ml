@@ -130,8 +130,12 @@ let test_lane0_matches_scalar () =
   let nl = lowered () in
   let ssim = Backend.Nl_sim.create nl in
   let wsim = Backend.Nl_wsim.create ~lanes:5 nl in
-  Backend.Nl_sim.enable_power_sampler ~window:4 ssim;
-  Backend.Nl_wsim.enable_power_sampler ~window:4 wsim;
+  let sampler () =
+    Cover.Activity.create ~window:4 ~slots:(Backend.Netlist.net_count nl) ()
+  in
+  let sact = sampler () and wact = sampler () in
+  Backend.Nl_sim.observe ssim (fun _ -> Cover.Activity.tap sact);
+  Backend.Nl_wsim.observe wsim ~lane:0 (fun _ -> Cover.Activity.tap wact);
   for c = 0 to 17 do
     (* Same stimulus on the scalar sim and on every word lane (a
        broadcast write drives lane 0 too). *)
@@ -141,16 +145,6 @@ let test_lane0_matches_scalar () =
     Backend.Nl_sim.step ssim;
     Backend.Nl_wsim.step wsim
   done;
-  let sact =
-    match Backend.Nl_sim.power_activity ssim with
-    | Some a -> a
-    | None -> Alcotest.fail "scalar sampler missing"
-  in
-  let wact =
-    match Backend.Nl_wsim.lane_activity wsim 0 with
-    | Some a -> a
-    | None -> Alcotest.fail "word lane-0 sampler missing"
-  in
   Cover.Activity.flush sact;
   Cover.Activity.flush wact;
   Alcotest.(check int) "same cycle count" (Cover.Activity.cycles sact)
@@ -215,16 +209,14 @@ let test_flow_power_pass () =
 let test_analyze_flushes_partial_window () =
   let nl = lowered () in
   let sim = Backend.Nl_sim.create nl in
-  Backend.Nl_sim.enable_power_sampler ~window:64 sim;
+  let act =
+    Cover.Activity.create ~window:64 ~slots:(Backend.Netlist.net_count nl) ()
+  in
+  Backend.Nl_sim.observe sim (fun _ -> Cover.Activity.tap act);
   Backend.Nl_sim.set_input_int sim "en" 1;
   for _ = 1 to 10 do
     Backend.Nl_sim.step sim
   done;
-  let act =
-    match Backend.Nl_sim.power_activity sim with
-    | Some a -> a
-    | None -> Alcotest.fail "sampler missing"
-  in
   let r = Synth.Power_dyn.analyze nl act in
   Alcotest.(check int) "partial window counted" 10 r.Synth.Power_dyn.p_cycles;
   Alcotest.(check int) "one flushed sample" 1

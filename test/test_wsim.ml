@@ -42,9 +42,21 @@ let counter_design () =
 
 let random_bv rng width = Bitvec.init width (fun _ -> Random.State.bool rng)
 
+(* Subscribe a toggle collector to one lane of a word simulator. *)
+let lane_toggles w lane =
+  let c = Cover.Toggle.create ~names:(Backend.Nl_sim.Sched.net_labels (Ws.netlist w)) in
+  Ws.observe w ~lane (fun _ -> Cover.Toggle.tap c);
+  c
+
+(* Per-slot (rises, falls) of a collector. *)
+let edges c =
+  List.init (Cover.Toggle.bits c) (fun i ->
+      (Cover.Toggle.rises c i, Cover.Toggle.falls c i))
+
 (* Drive identical random stimulus into the scalar simulator (both
    modes) and the word simulator (both modes) and require identical
-   outputs every cycle and identical toggle accounting at the end —
+   outputs every cycle and identical per-net rises and falls at the
+   end —
    lane 0 of the word simulator must be indistinguishable from the
    scalar reference. *)
 let check_lane0_identity ~lanes ~cycles ~seed nl =
@@ -52,6 +64,9 @@ let check_lane0_identity ~lanes ~cycles ~seed nl =
   let s_fl = Backend.Nl_sim.create ~mode:Backend.Nl_sim.Full_eval nl in
   let w_ev = Ws.create ~mode:Ws.Event_driven ~lanes nl in
   let w_fl = Ws.create ~mode:Ws.Full_eval ~lanes nl in
+  Backend.Nl_sim.enable_toggle_cover s_ev;
+  Backend.Nl_sim.enable_toggle_cover s_fl;
+  let c_ev = lane_toggles w_ev 0 and c_fl = lane_toggles w_fl 0 in
   let ins = List.map (fun (n, nets) -> (n, Array.length nets)) (N.inputs nl) in
   let outs = List.map fst (N.outputs nl) in
   let rng = Random.State.make [| seed |] in
@@ -84,14 +99,13 @@ let check_lane0_identity ~lanes ~cycles ~seed nl =
           ])
       outs
   done;
-  Alcotest.(check int)
-    (Printf.sprintf "toggle totals agree (event, seed %#x)" seed)
-    (Backend.Nl_sim.toggle_total s_ev)
-    (Ws.toggle_total w_ev);
-  Alcotest.(check int)
-    (Printf.sprintf "toggle totals agree (full, seed %#x)" seed)
-    (Backend.Nl_sim.toggle_total s_fl)
-    (Ws.toggle_total w_fl)
+  let scalar s = edges (Option.get (Backend.Nl_sim.toggle_cover s)) in
+  Alcotest.(check (list (pair int int)))
+    (Printf.sprintf "rises/falls agree (event, seed %#x)" seed)
+    (scalar s_ev) (edges c_ev);
+  Alcotest.(check (list (pair int int)))
+    (Printf.sprintf "rises/falls agree (full, seed %#x)" seed)
+    (scalar s_fl) (edges c_fl)
 
 let test_lane0_identity_seeds () =
   let designs =
@@ -295,8 +309,7 @@ let test_word_engine () =
 let test_lane_cover () =
   let nl = Backend.Lower.lower (counter_design ()) in
   let w = Ws.create ~lanes:3 nl in
-  Alcotest.(check bool) "no cover before enable" true (Ws.lane_cover w 0 = None);
-  Ws.enable_toggle_cover w;
+  let covers = Array.init 3 (lane_toggles w) in
   Ws.set_input_int w "reset" 1;
   Ws.step w;
   Ws.set_input_int w "reset" 0;
@@ -305,11 +318,7 @@ let test_lane_cover () =
     Ws.set_input_lane w ~lane:2 "reset" (Bitvec.of_bool true);
     Ws.step w
   done;
-  let cov l =
-    match Ws.lane_cover w l with
-    | Some c -> c
-    | None -> Alcotest.failf "lane %d has no collector" l
-  in
+  let cov l = covers.(l) in
   Alcotest.(check int) "identical stimulus, identical coverage"
     (Cover.Toggle.covered (cov 0))
     (Cover.Toggle.covered (cov 1));
