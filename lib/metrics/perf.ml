@@ -17,7 +17,8 @@ let counter name =
           Hashtbl.replace registry name c;
           c)
 
-let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.count by)
+let add c n = ignore (Atomic.fetch_and_add c.count n)
+let incr ?(by = 1) c = add c by
 let value c = Atomic.get c.count
 let name c = c.cname
 let reset c = Atomic.set c.count 0

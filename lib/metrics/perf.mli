@@ -21,6 +21,10 @@ val counter : string -> t
 
 val incr : ?by:int -> t -> unit
 
+val add : t -> int -> unit
+(** [add c n] is [incr ~by:n c] without the optional-argument
+    allocation, for per-cycle hot paths. *)
+
 val value : t -> int
 
 val name : t -> string

@@ -1,58 +1,18 @@
 module L = Bitvec.Logic
 
-type t = {
-  nl : Netlist.t;
-  values : L.t array;
-  order : Netlist.cell array;
-  dffs : Netlist.cell array;
-  in_nets : (string, Netlist.net array) Hashtbl.t;
-  out_nets : (string, Netlist.net array) Hashtbl.t;
-}
+type t = { nl : Netlist.t; values : L.t array; s : Nl_sim.Sched.t }
 
-(* Same levelization as the two-valued simulator. *)
-let topo_order nl =
-  let cells = Netlist.cells nl in
-  let comb = List.filter (fun c -> c.Netlist.kind <> Cell.Dff) cells in
-  let state = Hashtbl.create 256 in
-  let order = ref [] in
-  let rec visit (c : Netlist.cell) =
-    match Hashtbl.find_opt state c.out with
-    | Some 2 -> ()
-    | Some 1 -> failwith "Xprop: combinational loop"
-    | _ ->
-        Hashtbl.replace state c.out 1;
-        Array.iter
-          (fun n ->
-            match Netlist.driver nl n with
-            | Some d when d.Netlist.kind <> Cell.Dff -> visit d
-            | Some _ | None -> ())
-          c.ins;
-        Hashtbl.replace state c.out 2;
-        order := c :: !order
-  in
-  List.iter visit comb;
-  Array.of_list (List.rev !order)
-
+(* Same levelization and port tables as the two-valued simulator, so a
+   combinational loop raises [Nl_sim.Combinational_loop] here too. *)
 let create nl =
-  Netlist.check nl;
-  let in_nets = Hashtbl.create 8 and out_nets = Hashtbl.create 8 in
-  List.iter (fun (n, nets) -> Hashtbl.replace in_nets n nets) (Netlist.inputs nl);
-  List.iter
-    (fun (n, nets) -> Hashtbl.replace out_nets n nets)
-    (Netlist.outputs nl);
   {
     nl;
     values = Array.make (Netlist.net_count nl) L.X;
-    order = topo_order nl;
-    dffs =
-      List.filter (fun c -> c.Netlist.kind = Cell.Dff) (Netlist.cells nl)
-      |> Array.of_list;
-    in_nets;
-    out_nets;
+    s = Nl_sim.Sched.build nl;
   }
 
 let set_input t name bv =
-  match Hashtbl.find_opt t.in_nets name with
+  match Hashtbl.find_opt t.s.in_nets name with
   | None -> raise Not_found
   | Some nets ->
       if Bitvec.width bv <> Array.length nets then
@@ -62,7 +22,7 @@ let set_input t name bv =
         nets
 
 let set_input_x t name =
-  match Hashtbl.find_opt t.in_nets name with
+  match Hashtbl.find_opt t.s.in_nets name with
   | None -> raise Not_found
   | Some nets -> Array.iter (fun n -> t.values.(n) <- L.X) nets
 
@@ -84,12 +44,12 @@ let eval_cell t (c : Netlist.cell) =
   in
   t.values.(c.out) <- r
 
-let settle t = Array.iter (eval_cell t) t.order
+let settle t = Array.iter (eval_cell t) t.s.order
 
 let step t =
   settle t;
-  let sampled = Array.map (fun c -> t.values.(c.Netlist.ins.(0))) t.dffs in
-  Array.iteri (fun i c -> t.values.(c.Netlist.out) <- sampled.(i)) t.dffs;
+  let sampled = Array.map (fun c -> t.values.(c.Netlist.ins.(0))) t.s.dffs in
+  Array.iteri (fun i c -> t.values.(c.Netlist.out) <- sampled.(i)) t.s.dffs;
   settle t
 
 let run t n =
@@ -98,14 +58,14 @@ let run t n =
   done
 
 let output_string t name =
-  match Hashtbl.find_opt t.out_nets name with
+  match Hashtbl.find_opt t.s.out_nets name with
   | None -> raise Not_found
   | Some nets ->
       String.init (Array.length nets) (fun i ->
           L.to_char t.values.(nets.(Array.length nets - 1 - i)))
 
 let output_known t name =
-  match Hashtbl.find_opt t.out_nets name with
+  match Hashtbl.find_opt t.s.out_nets name with
   | None -> raise Not_found
   | Some nets ->
       Array.for_all (fun n -> L.to_bool t.values.(n) <> None) nets
@@ -125,4 +85,4 @@ let unknown_ffs t =
   Array.fold_left
     (fun acc (c : Netlist.cell) ->
       if L.to_bool t.values.(c.out) = None then acc + 1 else acc)
-    0 t.dffs
+    0 t.s.dffs

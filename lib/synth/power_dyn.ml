@@ -1,7 +1,7 @@
 (* Dynamic power from windowed switching activity.
 
    The estimator folds a Cover.Activity sampler (per-net toggle counts
-   per cycle window, fed by an Nl_sim/Nl_wsim subscriber) through a cell
+   per cycle window, fed by an Nl_sim subscriber) through a cell
    coefficient library into per-window energy/power samples, a total
    energy figure and a per-module attribution keyed by the netlist's
    region tables — the same join the area/timing breakdowns use, so all

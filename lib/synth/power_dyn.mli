@@ -1,7 +1,7 @@
 (** Dynamic power estimation from windowed switching activity.
 
     Folds a {!Cover.Activity} sampler (per-net toggle counts per cycle
-    window, fed by a [Backend.Nl_sim]/[Backend.Nl_wsim] subscriber) through a
+    window, fed by a [Backend.Nl_sim] subscriber) through a
     cell coefficient library into per-window power samples, cumulative
     energy and a per-module attribution aligned with the area/timing
     breakdowns of {!Flow.result}. *)

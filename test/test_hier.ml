@@ -171,6 +171,34 @@ let test_trace_hier_scopes () =
   Alcotest.(check bool) "VCD has a nested instance scope" true
     (contains "$scope module u_rf0 $end")
 
+(* The word adapter serves the scalar adapter's probes, read from lane
+   0 of a wider simulation under the same broadcast stimulus. *)
+let test_word_engine_probes () =
+  let nl = Backend.Lower.lower (hier_design ()) in
+  let s = Backend.Nl_engine.create nl in
+  let w = Backend.Nl_engine.create_word ~lanes:70 nl in
+  Alcotest.(check bool) "scalar has probes" true (Engine.probes s <> []);
+  Alcotest.(check (list (pair string int)))
+    "same probes" (Engine.probes s) (Engine.probes w);
+  let rng = Random.State.make [| 7 |] in
+  for _ = 1 to 20 do
+    List.iter
+      (fun (name, width) ->
+        let bv = Bitvec.init width (fun _ -> Random.State.bool rng) in
+        Engine.set_input s name bv;
+        Engine.set_input w name bv)
+      (Engine.inputs s);
+    Engine.step s;
+    Engine.step w;
+    List.iter
+      (fun (name, _) ->
+        Alcotest.(check bool)
+          (name ^ " reads lane 0")
+          true
+          (Bitvec.equal (Engine.probe s name) (Engine.probe w name)))
+      (Engine.probes s)
+  done
+
 let test_fault_site_names () =
   let nl = Backend.Lower.lower (hier_design ()) in
   (* Pick a region-tagged net so the site carries the instance path. *)
@@ -208,6 +236,7 @@ let suite =
     Alcotest.test_case "hierarchical trace scopes" `Quick
       test_trace_hier_scopes;
     Alcotest.test_case "fault site names" `Quick test_fault_site_names;
+    Alcotest.test_case "word engine probes" `Quick test_word_engine_probes;
   ]
 
 let () = Alcotest.run "hier" [ ("hier", suite) ]

@@ -1,9 +1,10 @@
-(* Word-parallel netlist simulation: lane-0 identity with the scalar
-   simulator (both scheduling modes, several seeds), per-lane stimulus
-   through the packed/transpose API, per-lane stuck-at faults with
-   packed divergence detection, the lane-parallel fault campaign, the
-   Engine word backend with lane-pinned fault injection, and per-lane
-   toggle coverage. *)
+(* Word-parallel netlist simulation: every lane of a 1/63/64/130-lane
+   run equals the 1-lane full-eval run of its own stimulus stream (both
+   scheduling modes, with a checkpoint/restore replay), per-lane
+   stimulus through the packed/transpose API, per-lane stuck-at faults
+   with packed divergence detection, the lane-parallel fault campaign,
+   the Engine word backend with lane-pinned fault injection, and
+   per-lane toggle coverage. *)
 
 open Hdl
 open Builder.Dsl
@@ -53,77 +54,216 @@ let edges c =
   List.init (Cover.Toggle.bits c) (fun i ->
       (Cover.Toggle.rises c i, Cover.Toggle.falls c i))
 
-(* Drive identical random stimulus into the scalar simulator (both
-   modes) and the word simulator (both modes) and require identical
-   outputs every cycle and identical per-net rises and falls at the
-   end —
-   lane 0 of the word simulator must be indistinguishable from the
-   scalar reference. *)
-let check_lane0_identity ~lanes ~cycles ~seed nl =
-  let s_ev = Backend.Nl_sim.create ~mode:Backend.Nl_sim.Event_driven nl in
-  let s_fl = Backend.Nl_sim.create ~mode:Backend.Nl_sim.Full_eval nl in
-  let w_ev = Ws.create ~mode:Ws.Event_driven ~lanes nl in
-  let w_fl = Ws.create ~mode:Ws.Full_eval ~lanes nl in
-  Backend.Nl_sim.enable_toggle_cover s_ev;
-  Backend.Nl_sim.enable_toggle_cover s_fl;
-  let c_ev = lane_toggles w_ev 0 and c_fl = lane_toggles w_fl 0 in
-  let ins = List.map (fun (n, nets) -> (n, Array.length nets)) (N.inputs nl) in
-  let outs = List.map fst (N.outputs nl) in
-  let rng = Random.State.make [| seed |] in
-  for cycle = 1 to cycles do
-    List.iter
-      (fun (name, width) ->
-        let bv = random_bv rng width in
-        Backend.Nl_sim.set_input s_ev name bv;
-        Backend.Nl_sim.set_input s_fl name bv;
-        Ws.set_input w_ev name bv;
-        Ws.set_input w_fl name bv)
-      ins;
-    Backend.Nl_sim.step s_ev;
-    Backend.Nl_sim.step s_fl;
-    Ws.step w_ev;
-    Ws.step w_fl;
-    List.iter
-      (fun port ->
-        let expect = Backend.Nl_sim.get_output s_ev port in
-        List.iter
-          (fun (who, got) ->
-            if not (Bitvec.equal expect got) then
-              Alcotest.failf
-                "seed %#x lanes %d cycle %d port %s: %s=%a, scalar-event=%a"
-                seed lanes cycle port who Bitvec.pp got Bitvec.pp expect)
-          [
-            ("scalar-full", Backend.Nl_sim.get_output s_fl port);
-            ("word-event", Ws.get_output w_ev port);
-            ("word-full", Ws.get_output w_fl port);
-          ])
-      outs
-  done;
-  let scalar s = edges (Option.get (Backend.Nl_sim.toggle_cover s)) in
-  Alcotest.(check (list (pair int int)))
-    (Printf.sprintf "rises/falls agree (event, seed %#x)" seed)
-    (scalar s_ev) (edges c_ev);
-  Alcotest.(check (list (pair int int)))
-    (Printf.sprintf "rises/falls agree (full, seed %#x)" seed)
-    (scalar s_fl) (edges c_fl)
+(* ------------------------------------------------------------------ *)
+(* Lane independence: every lane of a wide simulation is the 1-lane
+   full-eval run of that lane's stimulus stream.                       *)
 
-let test_lane0_identity_seeds () =
-  let designs =
-    [
-      Backend.Lower.lower (alu_design ());
-      Backend.Lower.lower (counter_design ());
-    ]
+(* A small sequential netlist plus its stimulus, in a printable form so
+   a shrunk counterexample can be kept in fixtures/lane_cases.txt.
+   Operand picks index, modulo its current length, the list of nets
+   built so far: input bits, then flip-flop outputs, then one net per
+   gate. *)
+type lane_case = {
+  seed : int;
+  cycles : int;
+  live : int;  (* lanes below this one hold their inputs at 0 *)
+  widths : int list;  (* input ports i0, i1, ... *)
+  gates : (int * int * int * int) list;  (* kind, operand picks *)
+  ffs : int list;  (* D pick per flip-flop *)
+  outs : int list;  (* bit picks of output port "o" *)
+}
+
+let case_to_string c =
+  let ints l = String.concat " " (List.map string_of_int l) in
+  Printf.sprintf "%d %d %d | %s | %s | %s | %s" c.seed c.cycles c.live
+    (ints c.widths)
+    (String.concat " "
+       (List.map
+          (fun (k, a, b, s) -> Printf.sprintf "%d.%d.%d.%d" k a b s)
+          c.gates))
+    (ints c.ffs) (ints c.outs)
+
+let case_of_string line =
+  let fields sep s =
+    List.filter (( <> ) "") (String.split_on_char sep (String.trim s))
   in
-  (* Lane counts straddle the word boundaries: a single lane, a partial
-     word, and a multi-word configuration. *)
-  List.iter
-    (fun (seed, lanes) ->
-      List.iter (check_lane0_identity ~lanes ~cycles:150 ~seed) designs)
-    [ (0xA1, 1); (0xB2, 63); (0xC3, 70) ]
+  let ints s = List.map int_of_string (fields ' ' s) in
+  match String.split_on_char '|' line with
+  | [ head; widths; gates; ffs; outs ] -> (
+      match ints head with
+      | [ seed; cycles; live ] ->
+          let gate g =
+            match List.map int_of_string (fields '.' g) with
+            | [ k; a; b; s ] -> (k, a, b, s)
+            | _ -> failwith ("bad gate " ^ g)
+          in
+          {
+            seed;
+            cycles;
+            live;
+            widths = ints widths;
+            gates = List.map gate (fields ' ' gates);
+            ffs = ints ffs;
+            outs = ints outs;
+          }
+      | _ -> failwith ("bad case " ^ line))
+  | _ -> failwith ("bad case " ^ line)
 
-let test_lane0_identity_expocu () =
-  let nl = Backend.Lower.lower (Expocu.Expocu_top.rtl_top ()) in
-  check_lane0_identity ~lanes:64 ~cycles:150 ~seed:0xE5C1 nl
+let gen_lane_case =
+  let open QCheck2.Gen in
+  let pick = int_bound 63 in
+  let* seed = int_bound 9999
+  and* cycles = int_range 1 8
+  and* live = oneofl [ 0; 0; 1; 63; 64; 127 ]
+  and* widths = list_size (int_range 1 3) (int_range 1 3)
+  and* gates = list_size (int_range 1 12) (tup4 (int_bound 8) pick pick pick)
+  and* ffs = list_size (int_range 0 4) pick
+  and* outs = list_size (int_range 1 4) pick in
+  return { seed; cycles; live; widths; gates; ffs; outs }
+
+let case_netlist c =
+  let nl = N.create ~fold:false ~name:"lane_case" () in
+  let avail = ref [||] in
+  let add n = avail := Array.append !avail [| n |] in
+  let get k = !avail.(k mod Array.length !avail) in
+  List.iteri
+    (fun i w -> Array.iter add (N.add_input nl (Printf.sprintf "i%d" i) w))
+    c.widths;
+  let qs = List.map (fun _ -> N.dff_deferred nl) c.ffs in
+  List.iter add qs;
+  List.iter
+    (fun (k, a, b, s) ->
+      add
+        (match k with
+        | 0 -> N.const0 nl
+        | 1 -> N.const1 nl
+        | 2 -> N.not_ nl (get a)
+        | 3 -> N.and2 nl (get a) (get b)
+        | 4 -> N.or2 nl (get a) (get b)
+        | 5 -> N.xor2 nl (get a) (get b)
+        | 6 -> N.nand2 nl (get a) (get b)
+        | 7 -> N.nor2 nl (get a) (get b)
+        | _ -> N.mux2 nl ~sel:(get s) (get a) (get b)))
+    c.gates;
+  List.iter2 (fun q d -> N.connect_dff nl ~q ~d:(get d)) qs c.ffs;
+  N.add_output nl "o" (Array.of_list (List.map get c.outs));
+  nl
+
+(* Lane [lane]'s value of input port [i] at [cycle]: a function of the
+   lane, never of how many lanes run beside it.  Quiet low lanes leave
+   whole words unmoved while higher words change. *)
+let lane_input c ~lane ~cycle i =
+  let width = List.nth c.widths i in
+  if lane < c.live then Bitvec.zero width
+  else random_bv (Random.State.make [| c.seed; lane; cycle; i |]) width
+
+(* Per-cycle outputs and final per-slot (rises, falls) of one lane. *)
+let reference c nl lane =
+  let sim = Backend.Nl_sim.create ~mode:Backend.Nl_sim.Full_eval nl in
+  Backend.Nl_sim.enable_toggle_cover sim;
+  let outs =
+    List.init c.cycles (fun cycle ->
+        List.iteri
+          (fun i _ ->
+            Backend.Nl_sim.set_input sim (Printf.sprintf "i%d" i)
+              (lane_input c ~lane ~cycle i))
+          c.widths;
+        Backend.Nl_sim.step sim;
+        Backend.Nl_sim.get_output_int sim "o")
+  in
+  (outs, edges (Option.get (Backend.Nl_sim.toggle_cover sim)))
+
+(* The same streams through one [lanes]-wide simulation: stimulus packed
+   on even cycles, lane by lane on odd ones.  Half-way through, a
+   checkpoint is taken; after the last cycle the simulation is rewound
+   and the second half replayed, which must repeat its outputs. *)
+let lane_run c nl ~mode ~lanes =
+  let sim = Backend.Nl_sim.create ~mode ~lanes nl in
+  let covers = Array.init lanes (lane_toggles sim) in
+  let cycle_outs cycle =
+    List.iteri
+      (fun i _ ->
+        let name = Printf.sprintf "i%d" i in
+        let per_lane =
+          Array.init lanes (fun lane -> lane_input c ~lane ~cycle i)
+        in
+        if cycle mod 2 = 0 then
+          Backend.Nl_sim.set_input_packed sim name (Bitvec.transpose per_lane)
+        else
+          Array.iteri
+            (fun lane bv -> Backend.Nl_sim.set_input_lane sim ~lane name bv)
+            per_lane)
+      c.widths;
+    Backend.Nl_sim.step sim;
+    Array.init lanes (fun lane -> Backend.Nl_sim.get_output_int ~lane sim "o")
+  in
+  let half = c.cycles / 2 in
+  let first = List.init half cycle_outs in
+  let ck = Backend.Nl_sim.checkpoint sim in
+  let second = List.init (c.cycles - half) (fun k -> cycle_outs (half + k)) in
+  let lane_edges = Array.map edges covers in
+  Backend.Nl_sim.restore sim ck;
+  let replay = List.init (c.cycles - half) (fun k -> cycle_outs (half + k)) in
+  (first @ second, lane_edges, second = replay)
+
+let lane_counts = [ 1; 63; 64; 130 ]
+
+(* None, or what differed first. *)
+let check_lane_case c =
+  let nl = case_netlist c in
+  let refs = Array.init (List.fold_left max 0 lane_counts) (reference c nl) in
+  List.concat_map
+    (fun lanes ->
+      List.map
+        (fun mode -> (lanes, mode))
+        Backend.Nl_sim.[ Event_driven; Full_eval ])
+    lane_counts
+  |> List.find_map (fun (lanes, mode) ->
+         let outs, lane_edges, replayed = lane_run c nl ~mode ~lanes in
+         let what =
+           Printf.sprintf "%d lanes, %s" lanes
+             (if mode = Backend.Nl_sim.Event_driven then "event" else "full")
+         in
+         if not replayed then Some (what ^ ": replay after restore differs")
+         else
+           List.find_map
+             (fun lane ->
+               let ref_outs, ref_edges = refs.(lane) in
+               if List.map (fun o -> o.(lane)) outs <> ref_outs then
+                 Some (Printf.sprintf "%s: lane %d outputs" what lane)
+               else if lane_edges.(lane) <> ref_edges then
+                 Some (Printf.sprintf "%s: lane %d rises/falls" what lane)
+               else None)
+             (List.init lanes Fun.id))
+
+let prop_lanes =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~name:"lanes equal 1-lane full-eval runs"
+       ~print:case_to_string gen_lane_case (fun c ->
+         match check_lane_case c with
+         | None -> true
+         | Some what -> QCheck2.Test.fail_report what))
+
+(* Shrunk counterexamples of the property, kept as regression cases. *)
+let test_lane_cases () =
+  let ic =
+    open_in
+      (Filename.concat
+         (Filename.dirname Sys.executable_name)
+         "fixtures/lane_cases.txt")
+  in
+  let lines =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> In_channel.input_all ic |> String.split_on_char '\n')
+  in
+  List.iter
+    (fun line ->
+      if String.trim line <> "" && line.[0] <> '#' then
+        match check_lane_case (case_of_string line) with
+        | None -> ()
+        | Some what -> Alcotest.failf "%s: %s" line what)
+    lines
 
 let test_wsim_loop_detection () =
   let nl = N.create ~fold:false ~name:"ring" () in
@@ -346,10 +486,8 @@ let prop_transpose =
 
 let suite =
   [
-    Alcotest.test_case "lane0 identity (3 seeds, 2 designs)" `Quick
-      test_lane0_identity_seeds;
-    Alcotest.test_case "lane0 identity (expocu)" `Quick
-      test_lane0_identity_expocu;
+    prop_lanes;
+    Alcotest.test_case "lane regression cases" `Quick test_lane_cases;
     Alcotest.test_case "loop detection" `Quick test_wsim_loop_detection;
     Alcotest.test_case "per-lane stimulus" `Quick test_per_lane_stimulus;
     Alcotest.test_case "stuck-at lanes" `Quick test_stuck_at_lanes;

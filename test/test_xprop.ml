@@ -148,6 +148,21 @@ let prop_known_inputs_agree =
          && X.output_string xp "z"
             = Bitvec.to_binary_string (Backend.Nl_sim.get_output tv "z")))
 
+(* The "ring" netlist of the backend loop test: a rewired cell input
+   closes a combinational cycle, which four-state analysis must refuse
+   exactly like the two-valued simulator, naming net and design. *)
+let test_loop_detection () =
+  let module N = Backend.Netlist in
+  let nl = N.create ~fold:false ~name:"ring" () in
+  let a = N.add_input nl "a" 1 in
+  let g1 = N.and2 nl a.(0) a.(0) in
+  let g2 = N.or2 nl g1 a.(0) in
+  let cell_of out = List.find (fun (c : N.cell) -> c.out = out) (N.cells nl) in
+  (cell_of g1).ins.(1) <- g2;
+  Alcotest.check_raises "loop raises"
+    (Backend.Nl_sim.Combinational_loop { module_name = "ring"; net = g1 })
+    (fun () -> ignore (X.create nl))
+
 let suite =
   [
     Alcotest.test_case "power-up unknown" `Quick test_powerup_unknown;
@@ -160,6 +175,7 @@ let suite =
       test_i2c_outputs_known_after_reset;
     Alcotest.test_case "expocu reset coverage" `Quick
       test_expocu_reset_coverage;
+    Alcotest.test_case "loop detection" `Quick test_loop_detection;
     prop_known_inputs_agree;
   ]
 
