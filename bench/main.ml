@@ -1,807 +1,23 @@
-(* Benchmark harness: one experiment per claim of the paper's
-   evaluation (see DESIGN.md experiment index).  Run with no argument
-   for everything, or with a list of experiment ids:
+(* Benchmark harness: the paper's experiments (see [Experiments]), plus
+   the self-checking smoke workload, BENCH_sim.json, the CI perf and
+   coverage gates and the history ledger.
 
-     dune exec bench/main.exe            # all
-     dune exec bench/main.exe -- e1 e6   # selected *)
+     dune exec bench/main.exe            # all experiments
+     dune exec bench/main.exe -- e1 e6   # selected
+     dune exec bench/main.exe -- --help *)
 
 open Hdl
-module CD = Osss.Class_def
-module OI = Osss.Object_inst
 
-let section id title =
-  Printf.printf "\n=== %s: %s ===\n" (String.uppercase_ascii id) title
-
-let row fmt = Printf.printf fmt
-
-(* ------------------------------------------------------------------ *)
-(* Shared synthesis helpers                                            *)
-
-let synthesize kind design = Synth.Flow.run kind design
-
-let flow_columns (r : Synth.Flow.result) =
-  ( Backend.Netlist.cell_count r.netlist,
-    r.area.Backend.Area.total,
-    r.area.Backend.Area.n_ffs,
-    r.timing.Backend.Timing.critical_ns,
-    r.timing.Backend.Timing.fmax_mhz )
-
-(* ------------------------------------------------------------------ *)
-(* E1/E2: full ExpoCU, OSSS flow vs conventional VHDL flow             *)
-
-let expocu_results =
-  lazy
-    ( synthesize Synth.Flow.Osss (Expocu.Expocu_top.osss_top ()),
-      synthesize Synth.Flow.Vhdl (Expocu.Expocu_top.rtl_top ()) )
-
-let e1 () =
-  section "e1"
-    "ExpoCU netlist area: OSSS flow vs VHDL flow (paper: almost equivalent)";
-  let osss, vhdl = Lazy.force expocu_results in
-  let print name r =
-    let cells, area, ffs, _, _ = flow_columns r in
-    row "  %-12s %8d cells %10.1f GE %6d flip-flops\n" name cells area ffs
-  in
-  print "OSSS" osss;
-  print "VHDL" vhdl;
-  let _, a_o, _, _, _ = flow_columns osss in
-  let _, a_v, _, _, _ = flow_columns vhdl in
-  row "  area ratio OSSS/VHDL = %.3f (paper: ~1.0)\n" (a_o /. a_v);
-  row "  OSSS flow pass trace:\n%s" (Synth.Flow.pass_table osss);
-  row "  VHDL flow pass trace:\n%s" (Synth.Flow.pass_table vhdl)
-
-let e2 () =
-  section "e2"
-    "ExpoCU achieved frequency (paper: OSSS below VHDL flow; target 66 MHz)";
-  let osss, vhdl = Lazy.force expocu_results in
-  let print name (r : Synth.Flow.result) =
-    let _, _, _, ns, mhz = flow_columns r in
-    row "  %-12s critical path %6.2f ns   fmax %7.1f MHz   66 MHz: %s\n" name
-      ns mhz
-      (if Backend.Timing.meets r.Synth.Flow.timing ~freq_mhz:66.0 then "met"
-       else "missed")
-  in
-  print "OSSS" osss;
-  print "VHDL" vhdl;
-  let _, _, _, _, f_o = flow_columns osss in
-  let _, _, _, _, f_v = flow_columns vhdl in
-  row "  fmax ratio OSSS/VHDL = %.3f (paper: < 1.0)\n" (f_o /. f_v);
-  (* The paper attributes the OSSS frequency deficit to the SystemC
-     behavioral-synthesis stage ("restrictions and unnecessary
-     overhead"); our shared back end removes that stage's bias from the
-     full-chip numbers, so the mechanism is measured in isolation: the
-     same multiply datapath hand-registered vs behaviorally synthesized
-     with functional-unit sharing. *)
-  let hand_mul =
-    let open Builder.Dsl in
-    let b = Builder.create "hand_mac" in
-    let a = Builder.input b "a" 8 in
-    let x = Builder.input b "x" 8 in
-    let y = Builder.output b "y" 8 in
-    Builder.sync b "mac" [ y <-- (v a *: v x) ];
-    Builder.finish b
-  in
-  let behav_mul =
-    let open Synth.Behavioral in
-    let g =
-      create ~name:"behav_mac"
-        ~inputs:[ ("a", 8); ("x", 8); ("a2", 8); ("x2", 8) ]
-    in
-    let m0 = node g Mul [ Input "a"; Input "x" ] in
-    let m1 = node g Mul [ Input "a2"; Input "x2" ] in
-    let s = node g Add [ Node m0; Node m1 ] in
-    output g "y" (Node s);
-    to_module g
-      (list_schedule g ~resources:(fun k ->
-           match k with Mul -> 1 | Add | Sub | And | Or | Xor | Mux -> 4))
-  in
-  let fmax m =
-    (Backend.Timing.analyze (Backend.Opt.optimize (Backend.Lower.lower m)))
-      .Backend.Timing.fmax_mhz
-  in
-  let f_hand = fmax hand_mul and f_behav = fmax behav_mul in
-  row
-    "  behavioral-synthesis overhead in isolation (one multiplier per \
-     cycle):\n";
-  row "    hand-registered datapath   fmax %7.1f MHz\n" f_hand;
-  row "    behaviorally synthesized   fmax %7.1f MHz (%.2fx, the paper's \
-       frequency-gap mechanism)\n"
-    f_behav (f_behav /. f_hand)
-
-(* ------------------------------------------------------------------ *)
-(* E3: class/template resolution has zero logic overhead               *)
-
-let e3 () =
-  section "e3" "SyncRegister: class resolution overhead (paper/Fig.7-8: none)";
-  let gates m = Backend.Opt.optimize (Backend.Lower.lower m) in
-  let print name nl =
-    let a = Backend.Area.analyze nl in
-    row "  %-28s %6d cells %8.1f GE %4d flip-flops\n" name
-      (Backend.Netlist.cell_count nl)
-      a.Backend.Area.total a.Backend.Area.n_ffs
-  in
-  let osss = gates (Expocu.Sync.osss_module ()) in
-  let rtl = gates (Expocu.Sync.rtl_module ()) in
-  print "OSSS classes + templates" osss;
-  print "hand-written RTL" rtl;
-  row "  overhead: %+d cells (paper: 0)\n"
-    (Backend.Netlist.cell_count osss - Backend.Netlist.cell_count rtl)
-
-(* ------------------------------------------------------------------ *)
-(* E4: polymorphism costs exactly the dispatch multiplexers            *)
-
-let alu_base =
-  CD.declare ~name:"AluBase" []
-    [
-      CD.fn_method ~name:"Execute" ~params:[ ("A", 8); ("B", 8) ] ~return:8
-        (fun ctx -> ([], Ir.Binop (Ir.Add, ctx.CD.arg "A", ctx.CD.arg "B")));
-    ]
-
-let alu_variant name op =
-  CD.declare ~parent:alu_base ~name []
-    [
-      CD.fn_method ~name:"Execute" ~params:[ ("A", 8); ("B", 8) ] ~return:8
-        (fun ctx -> ([], Ir.Binop (op, ctx.CD.arg "A", ctx.CD.arg "B")));
-    ]
-
-let poly_alu_module () =
-  let b = Builder.create "poly_alu" in
-  let sel = Builder.input b "sel" 2 in
-  let a = Builder.input b "a" 8 in
-  let x = Builder.input b "x" 8 in
-  let y = Builder.output b "y" 8 in
-  let variants =
-    [ alu_variant "AluAdd" Ir.Add; alu_variant "AluSub" Ir.Sub;
-      alu_variant "AluXor" Ir.Xor; alu_variant "AluAnd" Ir.And ]
-  in
-  let poly = Osss.Polymorph.instantiate b ~name:"alu" ~base:alu_base variants in
-  let _, result = Osss.Polymorph.vcall_fn poly "Execute" [ Ir.Var a; Ir.Var x ] in
-  Builder.sync b "drive"
-    [
-      Ir.Case
-        ( Ir.Var sel,
-          List.mapi
-            (fun i variant ->
-              (Bitvec.of_int ~width:2 i, Osss.Polymorph.assign_class poly variant))
-            variants,
-          [] );
-      Ir.Assign (y, result);
-    ];
-  Builder.finish b
-
-let manual_alu_module () =
-  let open Builder.Dsl in
-  let b = Builder.create "manual_alu" in
-  let sel = Builder.input b "sel" 2 in
-  let a = Builder.input b "a" 8 in
-  let x = Builder.input b "x" 8 in
-  let y = Builder.output b "y" 8 in
-  let mode = Builder.wire b "mode" 2 in
-  Builder.sync b "drive"
-    [
-      mode <-- v sel;
-      case (v mode)
-        [
-          (0, [ y <-- (v a +: v x) ]);
-          (1, [ y <-- (v a -: v x) ]);
-          (2, [ y <-- (v a ^: v x) ]);
-        ]
-        [ y <-- (v a &: v x) ];
-    ];
-  Builder.finish b
-
-let e4 () =
-  section "e4"
-    "Polymorphic ALU vs hand-multiplexed ALU (paper: polymorphism inserts \
-     only the selection muxes)";
-  let gates m = Backend.Opt.optimize (Backend.Lower.lower m) in
-  let print name nl =
-    let a = Backend.Area.analyze nl in
-    let muxes =
-      List.fold_left
-        (fun acc (k, n) -> if k = Backend.Cell.Mux2 then acc + n else acc)
-        0 (Backend.Netlist.stats nl)
-    in
-    row "  %-24s %6d cells %8.1f GE %4d flip-flops %4d mux2\n" name
-      (Backend.Netlist.cell_count nl)
-      a.Backend.Area.total a.Backend.Area.n_ffs muxes
-  in
-  let poly = gates (poly_alu_module ()) in
-  let manual = gates (manual_alu_module ()) in
-  print "OSSS polymorphism" poly;
-  print "manual mux select" manual;
-  let c_p = Backend.Netlist.cell_count poly
-  and c_m = Backend.Netlist.cell_count manual in
-  row "  cell ratio poly/manual = %.2f (paper: ~1, muxes exist either way)\n"
-    (float_of_int c_p /. float_of_int c_m)
-
-(* ------------------------------------------------------------------ *)
-(* E5: global objects add only the arbiter a shared resource needs     *)
-
-let counter_class =
-  CD.declare ~name:"BenchCounter"
-    [ CD.field "count" 8 ]
-    [
-      CD.proc_method ~name:"Tick" ~params:[] (fun ctx ->
-          [
-            ctx.CD.set "count"
-              (Ir.Binop
-                 (Ir.Add, ctx.CD.get "count", Ir.Const (Bitvec.of_int ~width:8 1)));
-          ]);
-    ]
-
-let shared_object_module policy =
-  let b = Builder.create "shared_obj" in
-  let reset = Builder.input b "reset" 1 in
-  let reqs = Builder.input b "reqs" 3 in
-  let value = Builder.output b "value" 8 in
-  let shared =
-    Osss.Shared.create b ~name:"cnt" ~class_:counter_class ~policy ~clients:3
-      ~methods:[ "Tick" ] ~reset
-  in
-  List.iteri
-    (fun i () ->
-      let cl = Osss.Shared.client shared i in
-      Builder.comb b
-        (Printf.sprintf "drv%d" i)
-        [
-          Ir.Assign (Osss.Shared.req cl, Ir.Slice (Ir.Var reqs, i, i));
-          Ir.Assign (Osss.Shared.op cl, Ir.Const (Bitvec.zero 1));
-        ])
-    [ (); (); () ];
-  Builder.comb b "obs"
-    [ Ir.Assign (value, OI.field_expr (Osss.Shared.state shared) "count") ];
-  Builder.finish b
-
-let manual_arbiter_module () =
-  let open Builder.Dsl in
-  let b = Builder.create "manual_arbiter" in
-  let reset = Builder.input b "reset" 1 in
-  let reqs = Builder.input b "reqs" 3 in
-  let value = Builder.output b "value" 8 in
-  let count = Builder.wire b "count" 8 in
-  let last = Builder.wire b "last" 2 in
-  let grant = Builder.wire b "grant" 3 in
-  (* hand-written rotating-priority arbiter + shared counter *)
-  let r i = bit (v reqs) i in
-  let fixed order =
-    List.concat
-      (List.mapi
-         (fun pos j ->
-           let earlier = List.filteri (fun p _ -> p < pos) order in
-           let none_before =
-             List.fold_left (fun acc k -> acc &: notb (r k)) (cb true) earlier
-           in
-           [ assign_slice grant ~lo:j (r j &: none_before) ])
-         order)
-  in
-  Builder.comb b "arbiter"
-    [
-      grant <-- c ~width:3 0;
-      case (v last)
-        [ (0, fixed [ 1; 2; 0 ]); (1, fixed [ 2; 0; 1 ]); (2, fixed [ 0; 1; 2 ]) ]
-        (fixed [ 1; 2; 0 ]);
-    ];
-  Builder.sync b "server"
-    [
-      if_ (v reset)
-        [ count <-- c ~width:8 0; last <-- c ~width:2 0 ]
-        [
-          when_ (bit (v grant) 0)
-            [ count <-- (v count +: c ~width:8 1); last <-- c ~width:2 0 ];
-          when_ (bit (v grant) 1)
-            [ count <-- (v count +: c ~width:8 1); last <-- c ~width:2 1 ];
-          when_ (bit (v grant) 2)
-            [ count <-- (v count +: c ~width:8 1); last <-- c ~width:2 2 ];
-        ];
-    ];
-  Builder.comb b "obs" [ value <-- v count ];
-  Builder.finish b
-
-let e5 () =
-  section "e5"
-    "Shared (global) object vs hand-written arbiter (paper: scheduler \
-     logic would be needed anyway)";
-  let gates m = Backend.Opt.optimize (Backend.Lower.lower m) in
-  let print name nl =
-    let a = Backend.Area.analyze nl in
-    row "  %-34s %6d cells %8.1f GE %4d flip-flops\n" name
-      (Backend.Netlist.cell_count nl)
-      a.Backend.Area.total a.Backend.Area.n_ffs
-  in
-  print "OSSS global object (round-robin)"
-    (gates (shared_object_module Osss.Shared.Round_robin));
-  print "hand arbiter + shared counter" (gates (manual_arbiter_module ()));
-  print "OSSS global object (priority)"
-    (gates (shared_object_module Osss.Shared.Fixed_priority));
-  print "OSSS global object (FCFS)"
-    (gates (shared_object_module Osss.Shared.Fcfs))
-
-(* ------------------------------------------------------------------ *)
-(* E6: simulation speed across abstraction levels                      *)
-
-let rtl_frame_sim () =
-  let sim = Rtl_sim.create (Expocu.Expocu_top.rtl_top ()) in
-  let frame = Array.init 256 (fun i -> i * 53 mod 256) in
-  Rtl_sim.set_input_int sim "ext_reset" 0;
-  Rtl_sim.set_input_int sim "target_bin" 7;
-  Rtl_sim.run sim 15;
-  Rtl_sim.set_input_int sim "frame_sync" 1;
-  Rtl_sim.run sim 4;
-  Rtl_sim.set_input_int sim "line_valid" 1;
-  Array.iter
-    (fun px ->
-      Rtl_sim.set_input_int sim "pixel" px;
-      Rtl_sim.step sim)
-    frame;
-  Rtl_sim.set_input_int sim "line_valid" 0;
-  Rtl_sim.set_input_int sim "frame_sync" 0;
-  let guard = ref 0 in
-  while Rtl_sim.get_int sim "frame_done" = 0 && !guard < 4000 do
-    Rtl_sim.step sim;
-    incr guard
-  done;
-  Rtl_sim.cycles sim
-
-let gate_netlist = lazy (Backend.Lower.lower (Expocu.Expocu_top.rtl_top ()))
-
-let gate_frame_sim () =
-  let sim = Backend.Nl_sim.create (Lazy.force gate_netlist) in
-  let frame = Array.init 256 (fun i -> i * 53 mod 256) in
-  Backend.Nl_sim.set_input_int sim "ext_reset" 0;
-  Backend.Nl_sim.set_input_int sim "target_bin" 7;
-  Backend.Nl_sim.set_input_int sim "sda_in" 0;
-  Backend.Nl_sim.set_input_int sim "frame_sync" 0;
-  Backend.Nl_sim.set_input_int sim "line_valid" 0;
-  Backend.Nl_sim.set_input_int sim "pixel" 0;
-  Backend.Nl_sim.run sim 15;
-  Backend.Nl_sim.set_input_int sim "frame_sync" 1;
-  Backend.Nl_sim.run sim 4;
-  Backend.Nl_sim.set_input_int sim "line_valid" 1;
-  Array.iter
-    (fun px ->
-      Backend.Nl_sim.set_input_int sim "pixel" px;
-      Backend.Nl_sim.step sim)
-    frame;
-  Backend.Nl_sim.set_input_int sim "line_valid" 0;
-  Backend.Nl_sim.set_input_int sim "frame_sync" 0;
-  let guard = ref 0 in
-  while Backend.Nl_sim.get_output_int sim "frame_done" = 0 && !guard < 4000 do
-    Backend.Nl_sim.step sim;
-    incr guard
-  done;
-  Backend.Nl_sim.cycles sim
-
-let behavioural_frame_sim () =
-  let r = Expocu.Behave_model.run ~frames:1 ~pixels_per_frame:256 () in
-  r.Expocu.Behave_model.sim_cycles
-
-let measure_ns tests =
-  let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.6) ~kde:None () in
-  let raw =
-    Benchmark.all cfg
-      Toolkit.Instance.[ monotonic_clock ]
-      (Test.make_grouped ~name:"sim" ~fmt:"%s/%s" tests)
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  Hashtbl.fold
-    (fun name ols acc ->
-      match Analyze.OLS.estimates ols with
-      | Some (est :: _) -> (name, est) :: acc
-      | Some [] | None -> acc)
-    results []
-
-let e6 () =
-  section "e6"
-    "Simulation speed per abstraction level (paper: behavioural SystemC \
-     much faster than conventional RTL simulators)";
-  let open Bechamel in
-  let tests =
-    [
-      Test.make ~name:"behavioural"
-        (Staged.stage (fun () -> behavioural_frame_sim ()));
-      Test.make ~name:"rtl" (Staged.stage (fun () -> rtl_frame_sim ()));
-      Test.make ~name:"gate-level" (Staged.stage (fun () -> gate_frame_sim ()));
-    ]
-  in
-  let results = measure_ns tests in
-  let find key =
-    List.fold_left
-      (fun acc (name, est) ->
-        let nl = String.length name and kl = String.length key in
-        if nl >= kl && String.sub name (nl - kl) kl = key then Some est
-        else acc)
-      None results
-  in
-  let cycles = float_of_int (rtl_frame_sim ()) in
-  let print name key =
-    match find key with
-    | Some ns ->
-        row "  %-14s %12.2f ms/frame %12.0f cycles/s\n" name (ns /. 1e6)
-          (cycles /. (ns /. 1e9))
-    | None -> row "  %-14s (no estimate)\n" name
-  in
-  print "behavioural" "behavioural";
-  print "RTL" "rtl";
-  print "gate-level" "gate-level";
-  match (find "behavioural", find "rtl", find "gate-level") with
-  | Some b, Some r, Some g ->
-      row
-        "  speedups: behavioural/RTL = %.1fx, RTL/gate = %.1fx, \
-         behavioural/gate = %.1fx\n"
-        (r /. b) (g /. r) (g /. b)
-  | _, _, _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* E7: development effort, I2C master in three methodologies           *)
-
-let e7 () =
-  section "e7"
-    "I2C master development effort (paper: OSSS 1 day, SystemC ~2 days, \
-     VHDL RTL slightly longer)";
-  let variants =
-    [
-      ("OSSS", Expocu.I2c.osss_module (), 1.0);
-      ("SystemC", Expocu.I2c.systemc_module (), 2.0);
-      ("VHDL RTL", Expocu.I2c.vhdl_module (), 2.5);
-    ]
-  in
-  row "  %-10s %8s %8s %10s %18s %12s\n" "style" "stmts" "tokens" "decisions"
-    "effort-model" "paper(days)";
-  let base = ref 0.0 in
-  List.iter
-    (fun (name, m, paper_days) ->
-      let metrics = Metrics.of_module m in
-      let effort = Metrics.effort_days metrics in
-      if !base = 0.0 then base := effort;
-      row "  %-10s %8d %8d %10d %10.2f (%4.1fx) %12.1f\n" name
-        metrics.Metrics.lines metrics.Metrics.tokens metrics.Metrics.decisions
-        effort (effort /. !base) paper_days)
-    variants;
-  row "  emitted artifact sizes (non-blank lines):\n";
-  List.iter
-    (fun (name, m, _) ->
-      let text =
-        match name with
-        | "VHDL RTL" -> Vhdl.emit m
-        | _ -> Osss.Resolve.emit_module (Elaborate.flatten m)
-      in
-      let tm = Metrics.of_text text in
-      row "    %-10s %6d lines\n" name tm.Metrics.lines)
-    variants
-
-(* ------------------------------------------------------------------ *)
-(* E8: bit and cycle accuracy through the whole flow                   *)
-
-let e8 () =
-  section "e8"
-    "Bit/cycle accuracy across flow stages (paper: every stage bit and \
-     cycle accurate)";
-  let osss_top = Expocu.Expocu_top.osss_top () in
-  let rtl_top = Expocu.Expocu_top.rtl_top () in
-  let report name result =
-    match result with
-    | Ok n -> row "  %-46s %5d cycles, 0 mismatches\n" name n
-    | Error m ->
-        row "  %-46s MISMATCH: %s\n" name
-          (Format.asprintf "%a" Backend.Equiv.pp_divergence m)
-  in
-  report "OSSS design vs conventional design"
-    (Backend.Equiv.ir_vs_ir ~cycles:2000 osss_top rtl_top);
-  report "OSSS design vs its synthesized netlist"
-    (Backend.Equiv.ir_vs_netlist ~cycles:800 osss_top
-       (Backend.Lower.lower osss_top));
-  report "OSSS design vs optimized netlist"
-    (Backend.Equiv.ir_vs_netlist ~cycles:800 osss_top
-       (Backend.Opt.optimize (Backend.Lower.lower osss_top)));
-  report "conventional design vs its netlist"
-    (Backend.Equiv.ir_vs_netlist ~cycles:800 rtl_top
-       (Backend.Lower.lower rtl_top));
-  (* All levels in one N-way lockstep run through the engine harness:
-     the first factory is the reference, every output of every other
-     engine is compared against it each cycle. *)
-  let factories =
-    [
-      (fun () -> Rtl_engine.create ~label:"rtl:osss" osss_top);
-      (fun () -> Rtl_engine.create ~label:"rtl:conventional" rtl_top);
-      (fun () ->
-        Backend.Nl_engine.create ~label:"gates:osss"
-          (Backend.Opt.optimize (Backend.Lower.lower osss_top)));
-    ]
-  in
-  report "3-way lockstep: osss rtl / conv rtl / gates"
-    (Backend.Equiv.differential ~cycles:500 factories);
-  (* Negative control: a fault seeded into a fourth engine must be
-     detected, localized and shrunk to a minimal reproducer window. *)
-  (match
-     Backend.Equiv.differential ~cycles:500
-       (factories
-       @ [
-           (fun () ->
-             Engine.inject_fault ~from_cycle:120 ~port:"frame_done"
-               (Rtl_engine.create ~label:"rtl:seeded-fault" osss_top));
-         ])
-   with
-  | Ok _ -> row "  seeded fault: NOT DETECTED (harness is broken)\n"
-  | Error d ->
-      row "  seeded fault detected and shrunk: %s\n"
-        (Format.asprintf "%a" Backend.Equiv.pp_divergence d))
-
-(* ------------------------------------------------------------------ *)
-(* E9: behavioral synthesis exploration                                *)
-
-let e9 () =
-  section "e9"
-    "Behavioral synthesis: resource constraints vs latency/area (the \
-     'behavioral synthesis overhead' of the paper's flow)";
-  let g =
-    Synth.Behavioral.create ~name:"filter_tap"
-      ~inputs:
-        [ ("x0", 8); ("x1", 8); ("x2", 8); ("x3", 8); ("k0", 8); ("k1", 8) ]
-  in
-  let open Synth.Behavioral in
-  let m0 = node g Mul [ Input "x0"; Input "k0" ] in
-  let m1 = node g Mul [ Input "x1"; Input "k1" ] in
-  let m2 = node g Mul [ Input "x2"; Input "k0" ] in
-  let m3 = node g Mul [ Input "x3"; Input "k1" ] in
-  let s0 = node g Add [ Node m0; Node m1 ] in
-  let s1 = node g Add [ Node m2; Node m3 ] in
-  let s = node g Add [ Node s0; Node s1 ] in
-  output g "y" (Node s);
-  row "  %-22s %8s %8s %10s %10s\n" "schedule" "states" "cells" "area GE"
-    "fmax MHz";
-  List.iter
-    (fun (name, sched) ->
-      let m = to_module g sched in
-      let nl = Backend.Opt.optimize (Backend.Lower.lower m) in
-      let a = Backend.Area.analyze nl in
-      let t = Backend.Timing.analyze nl in
-      row "  %-22s %8d %8d %10.1f %10.1f\n" name (latency sched)
-        (Backend.Netlist.cell_count nl)
-        a.Backend.Area.total t.Backend.Timing.fmax_mhz)
-    [
-      ("unconstrained (ASAP)", asap g);
-      ( "2 multipliers",
-        list_schedule g ~resources:(fun k ->
-            match k with Mul -> 2 | Add | Sub | And | Or | Xor | Mux -> 4) );
-      ( "1 multiplier",
-        list_schedule g ~resources:(fun k ->
-            match k with Mul -> 1 | Add | Sub | And | Or | Xor | Mux -> 4) );
-      ("1 of everything", list_schedule g ~resources:(fun _ -> 1));
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* F12: synthesized design structure                                   *)
-
-let f12 () =
-  section "f12" "ExpoCU top-level structure (paper Figure 12)";
-  print_string (Synth.Analyzer.report (Expocu.Expocu_top.osss_top ()))
-
-(* ------------------------------------------------------------------ *)
-(* Ablations                                                           *)
-
-let ablation () =
-  section "ablation" "design-choice ablations (DESIGN.md)";
-  let design = Expocu.Expocu_top.osss_top () in
-  let with_fold = Backend.Lower.lower ~fold:true design in
-  let without = Backend.Lower.lower ~fold:false design in
-  row "  netlist folding: on=%d cells, off=%d cells (%.1fx), off+opt=%d\n"
-    (Backend.Netlist.cell_count with_fold)
-    (Backend.Netlist.cell_count without)
-    (float_of_int (Backend.Netlist.cell_count without)
-    /. float_of_int (Backend.Netlist.cell_count with_fold))
-    (Backend.Netlist.cell_count (Backend.Opt.optimize without));
-  let throughput_of policy =
-    let sim = Rtl_sim.create (shared_object_module policy) in
-    Rtl_sim.set_input_int sim "reset" 1;
-    Rtl_sim.step sim;
-    Rtl_sim.set_input_int sim "reset" 0;
-    Rtl_sim.set_input_int sim "reqs" 7;
-    Rtl_sim.run sim 30;
-    Rtl_sim.get_int sim "value"
-  in
-  row
-    "  scheduler throughput over 30 contended cycles: RR=%d, priority=%d, \
-     FCFS=%d ticks\n"
-    (throughput_of Osss.Shared.Round_robin)
-    (throughput_of Osss.Shared.Fixed_priority)
-    (throughput_of Osss.Shared.Fcfs)
-
-(* ------------------------------------------------------------------ *)
-(* Formal verification table                                           *)
-
-let formal () =
-  section "formal"
-    "Formal equivalence proofs (BDD-based; strengthens the sampled E3/E8 \
-     results)";
-  let prove name a b =
-    let t0 = Unix.gettimeofday () in
-    let verdict = Backend.Cec.check_ir a b in
-    row "  %-44s %-22s (%.2f s)\n" name
-      (Format.asprintf "%a" Backend.Cec.pp_verdict verdict)
-      (Unix.gettimeofday () -. t0)
-  in
-  prove "sync: OSSS vs hand RTL" (Expocu.Sync.osss_module ())
-    (Expocu.Sync.rtl_module ());
-  prove "i2c: OSSS vs plain SystemC" (Expocu.I2c.osss_module ())
-    (Expocu.I2c.systemc_module ());
-  prove "i2c: OSSS vs VHDL two-process" (Expocu.I2c.osss_module ())
-    (Expocu.I2c.vhdl_module ());
-  prove "reset: OSSS vs hand RTL" (Expocu.Reset_ctrl.osss_module ())
-    (Expocu.Reset_ctrl.rtl_module ());
-  (* optimizer soundness, from raw unfolded gates to optimized *)
-  let design = Expocu.I2c.vhdl_module () in
-  let raw = Backend.Lower.lower ~fold:false design in
-  let optimized = Backend.Opt.optimize raw in
-  row "  %-44s %-22s\n" "i2c: unfolded netlist vs optimized"
-    (Format.asprintf "%a" Backend.Cec.pp_verdict
-       (Backend.Cec.check raw optimized))
-
-(* ------------------------------------------------------------------ *)
-(* Power comparison                                                    *)
-
-let power () =
-  section "power"
-    "Activity-based power per frame (model units; extension beyond the \
-     paper's area/frequency metrics)";
-  let frame = Array.init 256 (fun i -> i * 53 mod 256) in
-  let run design =
-    let nl = Backend.Opt.optimize (Backend.Lower.lower design) in
-    let sim = Backend.Nl_sim.create nl in
-    let act =
-      Cover.Activity.create ~slots:(Backend.Netlist.net_count nl) ()
-    in
-    Backend.Nl_sim.observe sim (fun _ -> Cover.Activity.tap act);
-    Backend.Nl_sim.set_input_int sim "ext_reset" 0;
-    Backend.Nl_sim.set_input_int sim "target_bin" 7;
-    Backend.Nl_sim.set_input_int sim "sda_in" 0;
-    Backend.Nl_sim.set_input_int sim "frame_sync" 0;
-    Backend.Nl_sim.set_input_int sim "line_valid" 0;
-    Backend.Nl_sim.set_input_int sim "pixel" 0;
-    Backend.Nl_sim.run sim 15;
-    Backend.Nl_sim.set_input_int sim "frame_sync" 1;
-    Backend.Nl_sim.run sim 4;
-    Backend.Nl_sim.set_input_int sim "line_valid" 1;
-    Array.iter
-      (fun px ->
-        Backend.Nl_sim.set_input_int sim "pixel" px;
-        Backend.Nl_sim.step sim)
-      frame;
-    Backend.Nl_sim.set_input_int sim "line_valid" 0;
-    Backend.Nl_sim.set_input_int sim "frame_sync" 0;
-    let guard = ref 0 in
-    while
-      Backend.Nl_sim.get_output_int sim "frame_done" = 0 && !guard < 4000
-    do
-      Backend.Nl_sim.step sim;
-      incr guard
-    done;
-    Synth.Power_dyn.analyze nl act
-  in
-  let p_osss = run (Expocu.Expocu_top.osss_top ()) in
-  let p_vhdl = run (Expocu.Expocu_top.rtl_top ()) in
-  let report name (p : Synth.Power_dyn.report) =
-    row "  %-6s %.3f mW total (%.3f dynamic incl. clock, %.3f leakage), \
-         %.1f pJ over %d cycles\n"
-      name p.p_avg_mw
-      (p.p_avg_mw -. p.p_leakage_mw)
-      p.p_leakage_mw p.p_total_energy_pj p.p_cycles
-  in
-  report "OSSS" p_osss;
-  report "VHDL" p_vhdl;
-  row "  power ratio OSSS/VHDL = %.3f\n"
-    (p_osss.Synth.Power_dyn.p_avg_mw /. p_vhdl.Synth.Power_dyn.p_avg_mw)
-
-(* ------------------------------------------------------------------ *)
-(* Layout: technology mapping and place & route                        *)
-
-let layout () =
-  section "layout"
-    "Technology map + place & route (completes Figure 6: map tool, \
-     place&route, post-layout frequency)";
-  row "  %-6s %6s %6s %7s %9s %11s %9s %7s\n" "flow" "LUT4" "FFs" "depth"
-    "grid" "wirelength" "fmax MHz" "66 MHz";
-  List.iter
-    (fun (name, design) ->
-      let nl = Backend.Opt.optimize (Backend.Lower.lower design) in
-      let mapped = Backend.Techmap.map nl in
-      let placement = Backend.Pnr.place ~seed:42 ~moves:800_000 mapped in
-      let r = Backend.Pnr.analyze placement in
-      let w, h = r.Backend.Pnr.grid in
-      row "  %-6s %6d %6d %7d %5dx%-3d %11.0f %9.1f %7s\n" name
-        (Backend.Techmap.lut_count mapped)
-        (Backend.Techmap.ff_count mapped)
-        (Backend.Techmap.depth mapped)
-        w h r.Backend.Pnr.wirelength r.Backend.Pnr.fmax_mhz
-        (if r.Backend.Pnr.fmax_mhz >= 66.0 then "met" else "missed"))
-    [
-      ("OSSS", Expocu.Expocu_top.osss_top ());
-      ("VHDL", Expocu.Expocu_top.rtl_top ());
-    ];
-  row "  (LUT4 %.2f ns; wire %.2f ns + %.2f ns per grid unit)\n"
-    Backend.Pnr.lut_delay_ns Backend.Pnr.wire_base_ns
-    Backend.Pnr.wire_delay_ns_per_unit
-
-(* ------------------------------------------------------------------ *)
-(* Reset coverage                                                      *)
-
-let xcheck () =
-  section "xcheck"
-    "Four-state reset coverage of the full ExpoCU (extension: conservative \
-     X-propagation instead of the power-up-to-zero assumption)";
-  let nl = Backend.Lower.lower (Expocu.Expocu_top.rtl_top ()) in
-  let sim = Backend.Xprop.create nl in
-  Backend.Xprop.set_input sim "ext_reset" (Bitvec.of_int ~width:1 1);
-  Backend.Xprop.set_input sim "pixel" (Bitvec.of_int ~width:8 0);
-  Backend.Xprop.set_input sim "line_valid" (Bitvec.of_int ~width:1 0);
-  Backend.Xprop.set_input sim "frame_sync" (Bitvec.of_int ~width:1 0);
-  Backend.Xprop.set_input sim "sda_in" (Bitvec.of_int ~width:1 0);
-  Backend.Xprop.set_input sim "target_bin" (Bitvec.of_int ~width:8 7);
-  let report label =
-    row "  %-34s unknown flip-flops: %4d; unknown output bits: %d\n" label
-      (Backend.Xprop.unknown_ffs sim)
-      (List.fold_left (fun a (_, n) -> a + n) 0
-         (Backend.Xprop.unknown_outputs sim))
-  in
-  Backend.Xprop.settle sim;
-  report "power-up";
-  Backend.Xprop.run sim 4;
-  report "after 4 cycles of ext_reset";
-  Backend.Xprop.set_input sim "ext_reset" (Bitvec.of_int ~width:1 0);
-  Backend.Xprop.run sim 15;
-  report "after POR stretch elapses"
-
-(* ------------------------------------------------------------------ *)
-(* Simulation-core benchmark: activity-based vs full evaluation        *)
-
-(* One ExpoCU frame of stimulus against an already-created simulator.
-   [bind] resolves a port name to its drive closure once, up front, so
-   backends with prebound port handles (Nl_sim.in_port) pay no name
-   lookup in the stimulus loop; all simulators share the exact same
-   drive sequence.  [seed] offsets the pixel stream (seed 0 is the
-   historical stream, and matches lane [seed] of the word-parallel
-   frame's per-lane offsets), giving the multi-seed coverage runs
-   distinct but deterministic stimulus. *)
-let drive_frame ?(seed = 0) ~bind ~step ~get ~pixels () =
-  let frame = Array.init pixels (fun i -> ((i * 53) + (seed * 17)) mod 256) in
-  let ext_reset = bind "ext_reset"
-  and target_bin = bind "target_bin"
-  and sda_in = bind "sda_in"
-  and frame_sync = bind "frame_sync"
-  and line_valid = bind "line_valid"
-  and pixel = bind "pixel" in
-  ext_reset 0;
-  target_bin 7;
-  sda_in 0;
-  frame_sync 0;
-  line_valid 0;
-  pixel 0;
-  for _ = 1 to 15 do step () done;
-  frame_sync 1;
-  for _ = 1 to 4 do step () done;
-  line_valid 1;
-  Array.iter
-    (fun px ->
-      pixel px;
-      step ())
-    frame;
-  line_valid 0;
-  frame_sync 0;
-  let guard = ref 0 in
-  while get "frame_done" = 0 && !guard < 4000 do
-    step ();
-    incr guard
-  done
+(* Numeric field at [path] of a JSON document. *)
+let num doc path =
+  List.fold_left (fun acc k -> Option.bind acc (Obs.Json.member k)) (Some doc)
+    path
+  |> Fun.flip Option.bind Obs.Json.number_value
 
 (* A fresh toggle collector over the frame netlist's nets. *)
 let net_cover () =
   Cover.Toggle.create
-    ~names:(Backend.Nl_sim.Sched.net_labels (Lazy.force gate_netlist))
+    ~names:(Backend.Nl_sim.Sched.net_labels (Lazy.force Frames.gate_netlist))
 
 (* First slot whose rises or falls differ between two collectors. *)
 let edge_mismatch a b =
@@ -810,91 +26,6 @@ let edge_mismatch a b =
       Cover.Toggle.rises a i <> Cover.Toggle.rises b i
       || Cover.Toggle.falls a i <> Cover.Toggle.falls b i)
     (List.init (Cover.Toggle.bits a) Fun.id)
-
-let nl_bind sim name =
-  let port = Backend.Nl_sim.in_port sim name in
-  Backend.Nl_sim.drive_port_int sim port
-
-let nl_frame ?(profile = false) ?cover ~mode ~pixels () =
-  let sim = Backend.Nl_sim.create ~mode (Lazy.force gate_netlist) in
-  if profile then Backend.Nl_sim.enable_profile sim;
-  Option.iter
-    (fun c -> Backend.Nl_sim.observe sim (fun _ -> Cover.Toggle.tap c))
-    cover;
-  drive_frame ~bind:(nl_bind sim)
-    ~step:(fun () -> Backend.Nl_sim.step sim)
-    ~get:(Backend.Nl_sim.get_output_int sim)
-    ~pixels ();
-  sim
-
-let rtl_frame ~pixels () =
-  let sim = Rtl_sim.create (Expocu.Expocu_top.rtl_top ()) in
-  drive_frame
-    ~bind:(fun name -> Rtl_sim.set_input_int sim name)
-    ~step:(fun () -> Rtl_sim.step sim)
-    ~get:(Rtl_sim.get_int sim)
-    ~pixels ();
-  sim
-
-(* The same frame against a word-parallel simulator: control inputs
-   broadcast, the pixel stream distinct per lane — lane 0 carries the
-   scalar frame ((i*53) mod 256) and lane l offsets it by l*17, so one
-   run is [lanes] stimulus seeds. *)
-let wsim_drive w ~pixels =
-  let lanes = Backend.Nl_sim.lanes w in
-  let set = Backend.Nl_sim.set_input_int w in
-  let step () = Backend.Nl_sim.step w in
-  set "ext_reset" 0;
-  set "target_bin" 7;
-  set "sda_in" 0;
-  set "frame_sync" 0;
-  set "line_valid" 0;
-  set "pixel" 0;
-  for _ = 1 to 15 do step () done;
-  set "frame_sync" 1;
-  for _ = 1 to 4 do step () done;
-  set "line_valid" 1;
-  for i = 0 to pixels - 1 do
-    Backend.Nl_sim.set_input_packed w "pixel"
-      (Array.init 8 (fun b ->
-           Bitvec.init lanes (fun l ->
-               (((i * 53) + (l * 17)) mod 256) lsr b land 1 = 1)));
-    step ()
-  done;
-  set "line_valid" 0;
-  set "frame_sync" 0;
-  let guard = ref 0 in
-  while Backend.Nl_sim.get_output_int w "frame_done" = 0 && !guard < 4000 do
-    step ();
-    incr guard
-  done
-
-let wsim_frame ?(covers = [||]) ~mode ~lanes ~pixels () =
-  let w = Backend.Nl_sim.create ~mode ~lanes (Lazy.force gate_netlist) in
-  Array.iteri
-    (fun lane c -> Backend.Nl_sim.observe w ~lane (fun _ -> Cover.Toggle.tap c))
-    covers;
-  wsim_drive w ~pixels;
-  w
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* Best wall time of [n] runs of a deterministic workload (the
-   simulators produce identical state each run, so min time is the
-   noise-free estimate). *)
-let timed_best n f =
-  let result, s0 = timed f in
-  let best = ref s0 in
-  for _ = 2 to n do
-    let _, s = timed f in
-    if s < !best then best := s
-  done;
-  (result, !best)
-
-let cps cycles s = if s > 0.0 then float_of_int cycles /. s else 0.0
 
 (* The figures the CI perf gate watches, measured on the small smoke
    workload so the gate and the emitted baseline agree on the workload:
@@ -908,20 +39,15 @@ let perf_gate_lanes = 64
 (* Minor words per cycle of a bare event-driven frame: stepping only,
    no subscriber, histograms and spans off — exactly the path a
    simulation with nothing attached takes.  The 1-lane frame drives
-   prebound ports; the wider one packs its per-lane pixels, which is
-   part of its figure.  Deterministic for a given build. *)
+   its pixel port as an int; the wider one packs its per-lane pixels,
+   which is part of its figure.  Deterministic for a given build. *)
 let bare_words_per_cycle ~lanes ~pixels =
   let hist = Obs.Hist.enabled () and span = Obs.Span.enabled () in
   Obs.Hist.disable ();
   Obs.Span.disable ();
-  let sim = Backend.Nl_sim.create ~lanes (Lazy.force gate_netlist) in
+  let sim = Backend.Nl_sim.create ~lanes (Lazy.force Frames.gate_netlist) in
   let w0 = Gc.minor_words () in
-  if lanes = 1 then
-    drive_frame ~bind:(nl_bind sim)
-      ~step:(fun () -> Backend.Nl_sim.step sim)
-      ~get:(Backend.Nl_sim.get_output_int sim)
-      ~pixels ()
-  else wsim_drive sim ~pixels;
+  Frames.nl_drive sim ~pixels;
   let words = Gc.minor_words () -. w0 in
   if hist then Obs.Hist.enable ();
   if span then Obs.Span.enable ();
@@ -929,15 +55,16 @@ let bare_words_per_cycle ~lanes ~pixels =
 
 let measure_perf_gate () =
   let pixels = perf_gate_pixels in
-  let ev = nl_frame ~mode:Backend.Nl_sim.Event_driven ~pixels () in
+  let ev = Frames.nl_frame ~mode:Backend.Nl_sim.Event_driven ~pixels () in
   let words = bare_words_per_cycle ~lanes:1 ~pixels in
   let lane_words = bare_words_per_cycle ~lanes:63 ~pixels in
   let fl, fl_s =
-    timed_best 3 (fun () -> nl_frame ~mode:Backend.Nl_sim.Full_eval ~pixels ())
+    Frames.timed_best 3 (fun () ->
+        Frames.nl_frame ~mode:Backend.Nl_sim.Full_eval ~pixels ())
   in
   let w, w_s =
-    timed_best 3 (fun () ->
-        wsim_frame ~mode:Backend.Nl_sim.Full_eval ~lanes:perf_gate_lanes
+    Frames.timed_best 3 (fun () ->
+        Frames.nl_frame ~mode:Backend.Nl_sim.Full_eval ~lanes:perf_gate_lanes
           ~pixels ())
   in
   let per_cycle evals cycles = float_of_int evals /. float_of_int cycles in
@@ -945,24 +72,21 @@ let measure_perf_gate () =
     per_cycle (Backend.Nl_sim.gate_evals ev) (Backend.Nl_sim.cycles ev)
     /. per_cycle (Backend.Nl_sim.gate_evals fl) (Backend.Nl_sim.cycles fl)
   in
-  let scalar_pps = cps (Backend.Nl_sim.cycles fl) fl_s in
-  let word_pps = cps (Backend.Nl_sim.cycles w * perf_gate_lanes) w_s in
+  let scalar_pps = Frames.cps (Backend.Nl_sim.cycles fl) fl_s in
+  let word_pps = Frames.cps (Backend.Nl_sim.cycles w * perf_gate_lanes) w_s in
   let speedup = if scalar_pps > 0.0 then word_pps /. scalar_pps else 0.0 in
-  let detail =
-    let open Obs.Json in
-    Obj
-      [
-        ("pixels", Int pixels);
-        ("lanes", Int perf_gate_lanes);
-        ("evals_per_cycle_ratio", Float ratio);
-        ("scalar_full_patterns_per_sec", Float scalar_pps);
-        ("word_full_patterns_per_sec", Float word_pps);
-        ("word64_per_pattern_speedup", Float speedup);
-        ("bare_event_words_per_cycle", Float words);
-        ("lane63_event_words_per_cycle", Float lane_words);
-      ]
-  in
-  (ratio, speedup, (words, lane_words), detail)
+  let open Obs.Json in
+  Obj
+    [
+      ("pixels", Int pixels);
+      ("lanes", Int perf_gate_lanes);
+      ("evals_per_cycle_ratio", Float ratio);
+      ("scalar_full_patterns_per_sec", Float scalar_pps);
+      ("word_full_patterns_per_sec", Float word_pps);
+      ("word64_per_pattern_speedup", Float speedup);
+      ("bare_event_words_per_cycle", Float words);
+      ("lane63_event_words_per_cycle", Float lane_words);
+    ]
 
 (* Hierarchy & memo-cache measurements: run the OSSS flow over the full
    ExpoCU top twice from a cleared module cache.  The warm run must hit
@@ -980,29 +104,26 @@ let measure_hierarchy () =
     | Some p -> Option.value ~default:0.0 (Synth.Flow.pass_metric p key)
     | None -> 0.0
   in
-  let cold, cold_s = timed (fun () -> Synth.Flow.run Synth.Flow.Osss design) in
-  let warm, warm_s = timed (fun () -> Synth.Flow.run Synth.Flow.Osss design) in
-  let warm_hits = int_of_float (lower_metric warm "cache_hits") in
+  let run () = Frames.timed (fun () -> Synth.Flow.run Synth.Flow.Osss design) in
+  let cold, cold_s = run () in
+  let warm, warm_s = run () in
   let nl = warm.Synth.Flow.netlist in
-  let detail =
-    let open Obs.Json in
-    Obj
-      [
-        ("design", String design.Ir.mod_name);
-        ("cold_flow_ms", Float (cold_s *. 1000.0));
-        ("warm_flow_ms", Float (warm_s *. 1000.0));
-        ("cold_cache_hits", Float (lower_metric cold "cache_hits"));
-        ("cold_cache_misses", Float (lower_metric cold "cache_misses"));
-        ("warm_cache_hits", Float (lower_metric warm "cache_hits"));
-        ("warm_cache_misses", Float (lower_metric warm "cache_misses"));
-        ("region_nets", Int (Backend.Netlist.region_table_size nl));
-        ("hinted_nets", Int (Backend.Netlist.hint_table_size nl));
-        ( "modules",
-          List
-            (List.map (fun r -> String r) (Backend.Netlist.region_names nl)) );
-      ]
-  in
-  (cold_s, warm_s, warm_hits, detail)
+  let open Obs.Json in
+  Obj
+    [
+      ("design", String design.Ir.mod_name);
+      ("cold_flow_ms", Float (cold_s *. 1000.0));
+      ("warm_flow_ms", Float (warm_s *. 1000.0));
+      ("cold_cache_hits", Float (lower_metric cold "cache_hits"));
+      ("cold_cache_misses", Float (lower_metric cold "cache_misses"));
+      ("warm_cache_hits", Float (lower_metric warm "cache_hits"));
+      ("warm_cache_misses", Float (lower_metric warm "cache_misses"));
+      ("region_nets", Int (Backend.Netlist.region_table_size nl));
+      ("hinted_nets", Int (Backend.Netlist.hint_table_size nl));
+      ( "modules",
+        List (List.map (fun r -> String r) (Backend.Netlist.region_names nl))
+      );
+    ]
 
 (* Dynamic power on the synthesized ExpoCU, OSSS flow vs conventional
    flow: [Power_dyn.measure] drives both optimized netlists with the
@@ -1013,7 +134,7 @@ let power_cycles = 256
 
 let measure_power =
   lazy
-    (let osss, vhdl = Lazy.force expocu_results in
+    (let osss, vhdl = Lazy.force Experiments.expocu_results in
      let run (r : Synth.Flow.result) =
        Synth.Power_dyn.measure ~cycles:power_cycles r.Synth.Flow.netlist
      in
@@ -1081,7 +202,7 @@ let measure_power =
            ("osss_by_module", module_rows po);
          ]
      in
-     (po, pv, detail))
+     (po, detail))
 
 (* Coverage-instrumented smoke frame: the RTL interpreter carries the
    full model (toggle bits + FSMs + covergroups + protocol monitor),
@@ -1095,11 +216,7 @@ let smoke_cover_db ?(seed = 0) ~pixels () =
   Rtl_sim.enable_toggle_cover sim;
   let cp = Expocu.Coverpoints.attach sim in
   let mon = Expocu.Monitors.expocu_monitor sim in
-  drive_frame ~seed
-    ~bind:(fun name -> Rtl_sim.set_input_int sim name)
-    ~step:(fun () -> Rtl_sim.step sim)
-    ~get:(Rtl_sim.get_int sim)
-    ~pixels ();
+  Frames.rtl_drive ~seed sim ~pixels;
   Expocu.Coverpoints.sample_frame cp sim;
   Assert_mon.finish mon;
   if not (Assert_mon.ok mon) then begin
@@ -1110,13 +227,10 @@ let smoke_cover_db ?(seed = 0) ~pixels () =
   end;
   let nl =
     Backend.Nl_sim.create ~mode:Backend.Nl_sim.Event_driven
-      (Lazy.force gate_netlist)
+      (Lazy.force Frames.gate_netlist)
   in
   Backend.Nl_sim.enable_toggle_cover nl;
-  drive_frame ~seed ~bind:(nl_bind nl)
-    ~step:(fun () -> Backend.Nl_sim.step nl)
-    ~get:(Backend.Nl_sim.get_output_int nl)
-    ~pixels ();
+  Frames.nl_drive ~seed nl ~pixels;
   let tg = function Some tg -> tg | None -> assert false in
   Cover.Db.make
     ~toggles:
@@ -1134,7 +248,7 @@ let smoke_cover_db ?(seed = 0) ~pixels () =
    databases merge in seed order with the monotone [Cover.Db.merge] —
    so the merged DB is byte-identical for every [jobs]. *)
 let multi_seed_cover_db ?jobs ~seeds ~pixels () =
-  ignore (Lazy.force gate_netlist) (* force outside the shards *);
+  ignore (Lazy.force Frames.gate_netlist) (* force outside the shards *);
   Par.map_list ?jobs
     ~label:(Printf.sprintf "cover-seed-%d")
     (fun seed -> smoke_cover_db ~seed ~pixels ())
@@ -1150,21 +264,22 @@ let cover_gate ~baseline db =
   match Cover.Db.load baseline with
   | Error e ->
       Obs.Log.errorf "cover-gate: %s" e;
-      exit 1
+      1
   | Ok base -> (
       match Cover.Db.diff base db with
       | [] ->
           Obs.Log.infof
             "cover-gate: ok — baseline %s held (%.1f%% toggle coverage now)"
             baseline
-            (100.0 *. Cover.Db.toggle_coverage db)
+            (100.0 *. Cover.Db.toggle_coverage db);
+          0
       | lost ->
           Obs.Log.errorf "cover-gate: %d items covered in %s are now uncovered:"
             (List.length lost) baseline;
           List.iter
             (fun (kind, item) -> Obs.Log.errorf "  %-9s %s" kind item)
             lost;
-          exit 1)
+          1)
 
 (* Parallel campaign measurement for the [Par] domain pool: the same
    fault list and seed set run at jobs=1 and jobs=4, and the results
@@ -1182,7 +297,7 @@ let parallel_cover_seeds = [ 0; 1; 2; 3 ]
 
 let measure_parallel () =
   let jobs = parallel_jobs in
-  let nl = Lazy.force gate_netlist in
+  let nl = Lazy.force Frames.gate_netlist in
   let rng = Random.State.make [| 0x9A8 |] in
   let n_nets = Backend.Netlist.net_count nl in
   let faults =
@@ -1194,7 +309,7 @@ let measure_parallel () =
   in
   let drive _ (name, r) = if name = "ext_reset" then Bitvec.zero 1 else r in
   let run_campaign jobs =
-    timed (fun () ->
+    Frames.timed (fun () ->
         Backend.Equiv.fault_campaign ~cycles:120 ~drive ~shrink:false ~jobs nl
           faults)
   in
@@ -1212,12 +327,12 @@ let measure_parallel () =
   then failwith "parallel: sharded fault campaign diverged from jobs=1";
   let db_string db = Obs.Json.to_string (Cover.Db.to_json db) in
   let cov_serial, cov_serial_s =
-    timed (fun () ->
+    Frames.timed (fun () ->
         multi_seed_cover_db ~jobs:1 ~seeds:parallel_cover_seeds
           ~pixels:perf_gate_pixels ())
   in
   let cov_par, cov_par_s =
-    timed (fun () ->
+    Frames.timed (fun () ->
         multi_seed_cover_db ~jobs ~seeds:parallel_cover_seeds
           ~pixels:perf_gate_pixels ())
   in
@@ -1247,81 +362,88 @@ let measure_parallel () =
                seed))
     sweep;
   let speedup num den = if den > 0.0 then num /. den else 0.0 in
-  let detail =
-    let open Obs.Json in
-    let shard_h = Obs.Hist.histogram "par.shard_ms" in
-    Obj
-      [
-        ("jobs", Int jobs);
-        ("recommended_domains", Int (Domain.recommended_domain_count ()));
-        ("identical", Bool true);
-        ( "fault_campaign",
-          Obj
-            [
-              ("faults", Int parallel_faults);
-              ("cycles", Int serial.Backend.Equiv.campaign_cycles);
-              ("detected", Int serial.Backend.Equiv.faults_detected);
-              ("serial_ms", Float (serial_s *. 1000.0));
-              ("parallel_ms", Float (par_s *. 1000.0));
-              ("speedup", Float (speedup serial_s par_s));
-            ] );
-        ( "multi_seed_cover",
-          Obj
-            [
-              ("seeds", List (List.map (fun s -> Int s) parallel_cover_seeds));
-              ("pixels", Int perf_gate_pixels);
-              ("serial_ms", Float (cov_serial_s *. 1000.0));
-              ("parallel_ms", Float (cov_par_s *. 1000.0));
-              ("speedup", Float (speedup cov_serial_s cov_par_s));
-            ] );
-        ( "differential_sweep",
-          Obj
-            [
-              ("seeds", List (List.map (fun (s, _) -> Int s) sweep));
-              ("all_ok", Bool true);
-            ] );
-        ( "shard_ms",
-          if Obs.Hist.count shard_h > 0 then Obs.Hist.to_json shard_h else Null
-        );
-      ]
-  in
-  (serial_s, par_s, detail)
+  let open Obs.Json in
+  let shard_h = Obs.Hist.histogram "par.shard_ms" in
+  Obj
+    [
+      ("jobs", Int jobs);
+      ("recommended_domains", Int (Domain.recommended_domain_count ()));
+      ("identical", Bool true);
+      ( "fault_campaign",
+        Obj
+          [
+            ("faults", Int parallel_faults);
+            ("cycles", Int serial.Backend.Equiv.campaign_cycles);
+            ("detected", Int serial.Backend.Equiv.faults_detected);
+            ("serial_ms", Float (serial_s *. 1000.0));
+            ("parallel_ms", Float (par_s *. 1000.0));
+            ("speedup", Float (speedup serial_s par_s));
+          ] );
+      ( "multi_seed_cover",
+        Obj
+          [
+            ("seeds", List (List.map (fun s -> Int s) parallel_cover_seeds));
+            ("pixels", Int perf_gate_pixels);
+            ("serial_ms", Float (cov_serial_s *. 1000.0));
+            ("parallel_ms", Float (cov_par_s *. 1000.0));
+            ("speedup", Float (speedup cov_serial_s cov_par_s));
+          ] );
+      ( "differential_sweep",
+        Obj
+          [
+            ("seeds", List (List.map (fun (s, _) -> Int s) sweep));
+            ("all_ok", Bool true);
+          ] );
+      ( "shard_ms",
+        if Obs.Hist.count shard_h > 0 then Obs.Hist.to_json shard_h else Null );
+    ]
+
+(* The kernel.* and flow.* histograms and spans are fed by the
+   behavioural model and the synthesis flow: run one of each, so every
+   registered histogram carries samples and one Chrome trace covers
+   kernel steps, engine settles and every Flow pass. *)
+let run_kernel_and_flow () =
+  let beh = Expocu.Behave_model.run ~frames:1 ~pixels_per_frame:32 () in
+  if beh.Expocu.Behave_model.kernel_runs = 0 then
+    failwith "bench: behavioural model ran no kernel processes";
+  let flow = Synth.Flow.run Synth.Flow.Osss (Expocu.Sync.osss_module ()) in
+  if flow.Synth.Flow.passes = [] then failwith "bench: flow recorded no passes"
 
 (* Emit BENCH_sim.json: cycles/sec and evals/cycle for the ExpoCU frame
    workload — netlist simulator in both modes, plus the RTL
    interpreter's process-run rate — with the per-settle histograms and
    the hot-nets / hot-cells / hot-processes activity profiles.  See
    docs/PERFORMANCE.md and docs/OBSERVABILITY.md. *)
-let bench_json ~profile ~lanes () =
+let bench_json ~profile () =
   (* Histograms are part of the emitted document; recording costs one
      branch per settle and is paid identically by every contestant. *)
   Obs.Hist.enable ();
   Obs.Hist.reset_all ();
-  (* The kernel.* and flow.* histograms are fed by the behavioural model
-     and the synthesis flow; run one of each so every registered
-     histogram in the emitted document carries samples. *)
-  let beh = Expocu.Behave_model.run ~frames:1 ~pixels_per_frame:32 () in
-  if beh.Expocu.Behave_model.kernel_runs = 0 then
-    failwith "bench: behavioural model ran no kernel processes";
-  let flow = Synth.Flow.run Synth.Flow.Osss (Expocu.Sync.osss_module ()) in
-  if flow.Synth.Flow.passes = [] then
-    failwith "bench: flow recorded no passes";
+  run_kernel_and_flow ();
   let pixels = 256 in
   let ev_cov = net_cover () in
   let ev, ev_s =
-    timed (fun () ->
-        nl_frame ~profile:true ~cover:ev_cov ~mode:Backend.Nl_sim.Event_driven
-          ~pixels ())
+    Frames.timed (fun () ->
+        Frames.nl_frame ~profile:true ~covers:[| ev_cov |]
+          ~mode:Backend.Nl_sim.Event_driven ~pixels ())
   in
-  let fl, fl_s = timed (fun () -> nl_frame ~mode:Backend.Nl_sim.Full_eval ~pixels ()) in
-  let rtl, rtl_s = timed (fun () -> rtl_frame ~pixels ()) in
-  let per_cycle count sim = float_of_int count /. float_of_int (Backend.Nl_sim.cycles sim) in
+  let fl, fl_s =
+    Frames.timed (fun () ->
+        Frames.nl_frame ~mode:Backend.Nl_sim.Full_eval ~pixels ())
+  in
+  let rtl, rtl_s = Frames.timed (fun () -> Frames.rtl_frame ~pixels ()) in
+  let per_cycle count sim =
+    float_of_int count /. float_of_int (Backend.Nl_sim.cycles sim)
+  in
   let rtl_cycles = Rtl_sim.cycles rtl in
-  let lane_sweep = match lanes with Some n -> [ n ] | None -> [ 1; 8; 64 ] in
+  let cps = Frames.cps in
+  (* Best of 5: single-shot sweep figures moved ~2x between runs. *)
   let sweep_entry lanes =
     let open Obs.Json in
     let wmode mode =
-      let w, s = timed (fun () -> wsim_frame ~mode ~lanes ~pixels ()) in
+      let w, s =
+        Frames.timed_best 5 (fun () -> Frames.nl_frame ~mode ~lanes ~pixels ())
+      in
       let cycles = Backend.Nl_sim.cycles w in
       Obj
         [
@@ -1338,10 +460,10 @@ let bench_json ~profile ~lanes () =
         ("full_eval", wmode Backend.Nl_sim.Full_eval);
       ]
   in
-  let _, _, _, perf_gate_detail = measure_perf_gate () in
-  let _, _, _, hierarchy_detail = measure_hierarchy () in
-  let _, _, power_detail = Lazy.force measure_power in
-  let _, _, parallel_detail = measure_parallel () in
+  let perf_gate_detail = measure_perf_gate () in
+  let hierarchy_detail = measure_hierarchy () in
+  let _, power_detail = Lazy.force measure_power in
+  let parallel_detail = measure_parallel () in
   let open Obs.Json in
   let mode_obj sim seconds extras =
     Obj
@@ -1380,7 +502,7 @@ let bench_json ~profile ~lanes () =
           Obj
             [
               ("lane_bits", Int Backend.Nl_sim.lane_bits);
-              ("sweep", List (List.map sweep_entry lane_sweep));
+              ("sweep", List (List.map sweep_entry [ 1; 8; 64 ]));
             ] );
         ("perf_gate", perf_gate_detail);
         ("hierarchy", hierarchy_detail);
@@ -1435,7 +557,7 @@ let bench_json ~profile ~lanes () =
    strictly less work. *)
 let bench_smoke ~profile () =
   let pixels = 32 in
-  let nl = Lazy.force gate_netlist in
+  let nl = Lazy.force Frames.gate_netlist in
   let factories =
     [
       (fun () ->
@@ -1475,10 +597,13 @@ let bench_smoke ~profile () =
         failwith "bench-smoke: seeded fault window did not shrink");
   let ev_cov = net_cover () and fl_cov = net_cover () in
   let ev =
-    nl_frame ~profile ~cover:ev_cov ~mode:Backend.Nl_sim.Event_driven ~pixels
-      ()
+    Frames.nl_frame ~profile ~covers:[| ev_cov |]
+      ~mode:Backend.Nl_sim.Event_driven ~pixels ()
   in
-  let fl = nl_frame ~cover:fl_cov ~mode:Backend.Nl_sim.Full_eval ~pixels () in
+  let fl =
+    Frames.nl_frame ~covers:[| fl_cov |] ~mode:Backend.Nl_sim.Full_eval
+      ~pixels ()
+  in
   assert (Backend.Nl_sim.cycles ev = Backend.Nl_sim.cycles fl);
   Option.iter
     (fun n ->
@@ -1513,8 +638,8 @@ let bench_smoke ~profile () =
   let cover_lanes = 4 in
   let covers = Array.init cover_lanes (fun _ -> net_cover ()) in
   ignore
-    (wsim_frame ~covers ~mode:Backend.Nl_sim.Event_driven ~lanes:cover_lanes
-       ~pixels ());
+    (Frames.nl_frame ~covers ~mode:Backend.Nl_sim.Event_driven
+       ~lanes:cover_lanes ~pixels ());
   let lane_cov l = covers.(l) in
   let per_lane_covered =
     List.init cover_lanes (fun l -> Cover.Toggle.covered (lane_cov l))
@@ -1530,13 +655,12 @@ let bench_smoke ~profile () =
   in
   if List.exists (fun c -> union_covered < c) per_lane_covered then
     failwith "bench-smoke: multi-seed union covers less than a single seed";
-  let ratio, speedup, words, perf_gate_detail = measure_perf_gate () in
-  let hier_cold_s, hier_warm_s, hier_warm_hits, hierarchy_detail =
-    measure_hierarchy ()
-  in
-  let power_osss, _, power_detail = Lazy.force measure_power in
-  let par_serial_s, par_par_s, parallel_detail = measure_parallel () in
-  let rtl = rtl_frame ~pixels () in
+  let perf_gate_detail = measure_perf_gate () in
+  let hierarchy_detail = measure_hierarchy () in
+  let power_osss, power_detail = Lazy.force measure_power in
+  let parallel_detail = measure_parallel () in
+  let figure doc path = Option.value ~default:nan (num doc path) in
+  let rtl = Frames.rtl_frame ~pixels () in
   if Rtl_sim.comb_skips rtl = 0 then
     failwith "bench-smoke: rtl scheduler never skipped a process";
   Obs.Log.infof
@@ -1546,14 +670,18 @@ let bench_smoke ~profile () =
     (Backend.Nl_sim.cycles ev)
     (Backend.Nl_sim.gate_evals ev)
     (Backend.Nl_sim.gate_evals fl)
-    speedup ratio (Rtl_sim.comb_runs rtl) (Rtl_sim.comb_skips rtl);
+    (figure perf_gate_detail [ "word64_per_pattern_speedup" ])
+    (figure perf_gate_detail [ "evals_per_cycle_ratio" ])
+    (Rtl_sim.comb_runs rtl) (Rtl_sim.comb_skips rtl);
   Obs.Log.infof
     "bench-smoke parallel: %d-fault campaign + %d-seed coverage + sweep \
      identical at jobs 1 and %d (campaign %.0f ms serial, %.0f ms at %d \
      jobs on %d recommended domains)"
     parallel_faults
     (List.length parallel_cover_seeds)
-    parallel_jobs (par_serial_s *. 1000.0) (par_par_s *. 1000.0)
+    parallel_jobs
+    (figure parallel_detail [ "fault_campaign"; "serial_ms" ])
+    (figure parallel_detail [ "fault_campaign"; "parallel_ms" ])
     parallel_jobs
     (Domain.recommended_domain_count ());
   let rtl_activity = Rtl_sim.process_activity rtl in
@@ -1598,332 +726,126 @@ let bench_smoke ~profile () =
   in
   let profiles =
     [
-      ("hot_nets", Obs.Profile.top (Cover.Toggle.activity ev_cov));
-      ("hot_cells", Obs.Profile.top (Backend.Nl_sim.cell_activity ev));
-      ("hot_processes", Obs.Profile.top rtl_activity);
-      ("hot_modules", Obs.Profile.top (Obs.Profile.by_module rtl_activity));
+      ("hot_nets", Cover.Toggle.activity ev_cov);
+      ("hot_cells", Backend.Nl_sim.cell_activity ev);
+      ("hot_processes", rtl_activity);
+      ("hot_modules", Obs.Profile.by_module rtl_activity);
     ]
   in
-  ( extra,
-    profiles,
-    (ratio, speedup, words),
-    (hier_cold_s, hier_warm_s, hier_warm_hits),
-    power_osss,
-    (par_serial_s, par_par_s) )
-
-(* When the smoke run is being traced, pull the remaining instrumented
-   layers (the sc_method kernel and the synthesis flow) into the same
-   process so one Chrome trace covers kernel steps, engine settles and
-   every Flow pass. *)
-let cover_traced_layers () =
-  let beh = Expocu.Behave_model.run ~frames:1 ~pixels_per_frame:32 () in
-  if beh.Expocu.Behave_model.kernel_runs = 0 then
-    failwith "bench-smoke: behavioural model ran no kernel processes";
-  let flow = Synth.Flow.run Synth.Flow.Osss (Expocu.Sync.osss_module ()) in
-  if flow.Synth.Flow.passes = [] then
-    failwith "bench-smoke: flow recorded no passes"
+  (extra, profiles, power_osss)
 
 (* ------------------------------------------------------------------ *)
-(* Lane-parallel fault campaign on the full ExpoCU netlist             *)
+(* CI perf gate                                                        *)
 
-let faults_exp () =
-  section "faults"
-    "Lane-parallel stuck-at campaign: 63 fault candidates + golden lane, \
-     one word-parallel run";
-  let nl = Lazy.force gate_netlist in
-  let rng = Random.State.make [| 0xFA17 |] in
-  let n_nets = Backend.Netlist.net_count nl in
-  let faults =
-    List.init 63 (fun _ ->
-        {
-          Backend.Equiv.fault_net = Random.State.int rng n_nets;
-          stuck_at = Random.State.bool rng;
-        })
-  in
-  (* Pure random stimulus would toggle ext_reset every other cycle and
-     keep the design in reset; hold it released so faults propagate. *)
-  let drive _ (name, r) = if name = "ext_reset" then Bitvec.zero 1 else r in
-  let (c : Backend.Equiv.campaign), s =
-    timed (fun () ->
-        Backend.Equiv.fault_campaign ~cycles:400 ~drive ~shrink:false nl faults)
-  in
-  row "  %d/%d faults detected in %d cycles (%.2f s, %d word gate evals)\n"
-    c.Backend.Equiv.faults_detected c.Backend.Equiv.faults_total
-    c.Backend.Equiv.campaign_cycles s c.Backend.Equiv.campaign_gate_evals;
-  row
-    "  (a scalar simulator would re-run the stimulus once per fault: %dx \
-     the gate evaluations)\n"
-    (1 + List.length faults);
-  let detected =
-    List.filter_map
-      (fun (r : Backend.Equiv.fault_result) -> r.detected_at)
-      c.Backend.Equiv.fault_results
-  in
-  (match List.sort compare detected with
-  | [] -> ()
-  | sorted ->
-      let n = List.length sorted in
-      let nth p = List.nth sorted (p * (n - 1) / 100) in
-      row "  detection latency over %d detected: min %d  median %d  p90 %d  \
-           max %d cycles\n"
-        n (List.hd sorted) (nth 50) (nth 90) (nth 100));
-  (* Hierarchical fault sites: undetected faults grouped by the instance
-     that owns the faulted net — the per-component view of testability. *)
-  let undetected =
-    List.filter
-      (fun (r : Backend.Equiv.fault_result) -> r.detected_at = None)
-      c.Backend.Equiv.fault_results
-  in
-  if undetected <> [] then begin
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (r : Backend.Equiv.fault_result) ->
-        let m =
-          match String.rindex_opt r.Backend.Equiv.site '.' with
-          | Some i -> String.sub r.Backend.Equiv.site 0 i
-          | None -> "<top>"
-        in
-        Hashtbl.replace tbl m
-          (1 + Option.value ~default:0 (Hashtbl.find_opt tbl m)))
-      undetected;
-    let per_module =
-      List.sort compare (Hashtbl.fold (fun m n acc -> (m, n) :: acc) tbl [])
-    in
-    row "  undetected sites by instance: %s\n"
-      (String.concat ", "
-         (List.map (fun (m, n) -> Printf.sprintf "%s (%d)" m n) per_module))
-  end;
-  (* Hand one early-detected fault back to the scalar differential
-     harness for a minimal reproducer. *)
+(* What a rule compares its figure against: a bound (with how it was
+   derived), a reason to skip the rule, or a reason it cannot be
+   checked, which fails it. *)
+type limit = Bound of float * string | Skip of string | Missing of string
+
+(* [slack] times the baseline's figure at [path].  A baseline predating
+   the figure skips the rule when [optional], fails it otherwise. *)
+let of_baseline ?(optional = false) path slack ~fresh:_ ~base =
+  match num base path with
+  | Some b -> Bound (b *. slack, Printf.sprintf "%g x baseline %g" slack b)
+  | None ->
+      let why = "baseline has no " ^ String.concat "." path in
+      if optional then Skip why else Missing why
+
+(* [slack] times another figure of the same fresh run. *)
+let of_fresh path slack ~fresh ~base:_ =
+  let name = String.concat "." path in
+  match num fresh path with
+  | Some v -> Bound (v *. slack, Printf.sprintf "%g x %s %g" slack name v)
+  | None -> Missing ("fresh run has no " ^ name)
+
+let absolute v ~fresh:_ ~base:_ = Bound (v, "absolute")
+
+(* Wall-clock scaling needs real cores: hosts with fewer than 4
+   recommended domains skip the parallel rule, as do baselines
+   predating the parallel section. *)
+let parallel_limit ~fresh ~base =
   match
-    List.find_opt
-      (fun (r : Backend.Equiv.fault_result) ->
-        match r.detected_at with Some cyc -> cyc < 60 | None -> false)
-      c.Backend.Equiv.fault_results
+    ( num base [ "parallel"; "jobs" ],
+      num fresh [ "parallel"; "recommended_domains" ] )
   with
-  | None -> ()
-  | Some r -> (
-      let c1 =
-        Backend.Equiv.fault_campaign ~cycles:80 ~drive nl
-          [ r.Backend.Equiv.fault ]
-      in
-      match c1.Backend.Equiv.fault_results with
-      | [ { Backend.Equiv.shrunk = Some d; fault; site; _ } ] ->
-          row "  shrunk reproducer for stuck-at-%d on %s: %d-cycle window\n"
-            (Bool.to_int fault.Backend.Equiv.stuck_at)
-            site
-            (Array.length d.Backend.Equiv.window)
-      | _ -> row "  (no shrunk reproducer)\n")
+  | None, _ -> Skip "baseline has no parallel section"
+  | Some _, Some d when d < 4.0 ->
+      Skip (Printf.sprintf "host recommends %g domains (< 4)" d)
+  | Some _, _ ->
+      of_fresh [ "parallel"; "fault_campaign"; "serial_ms" ] 0.6 ~fresh ~base
 
-(* ------------------------------------------------------------------ *)
-
-let experiments =
+(* The perf gate as a table: each rule bounds one figure of the fresh
+   smoke sections — at most ([`Le]), at least ([`Ge]) or above
+   ([`Gt]) its limit.  Deterministic counts get tight bounds,
+   wall-clock figures compare ratios measured in one process. *)
+let perf_rules =
+  let pg key = [ "perf_gate"; key ] in
   [
-    ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e8", e8); ("e9", e9); ("f12", f12); ("formal", formal);
-    ("power", power); ("layout", layout); ("xcheck", xcheck);
-    ("ablation", ablation); ("faults", faults_exp);
+    (* event-driven vs full-eval evals per cycle *)
+    ( pg "evals_per_cycle_ratio",
+      `Le,
+      of_baseline (pg "evals_per_cycle_ratio") 1.2 );
+    (* 64-lane full-eval per-pattern throughput over scalar full eval *)
+    ( pg "word64_per_pattern_speedup",
+      `Ge,
+      of_baseline (pg "word64_per_pattern_speedup") 0.8 );
+    (pg "word64_per_pattern_speedup", `Ge, absolute 10.0);
+    (* a bare step, at 1 and at 63 lanes, must not start allocating *)
+    ( pg "bare_event_words_per_cycle",
+      `Le,
+      of_baseline ~optional:true (pg "bare_event_words_per_cycle") 1.1 );
+    ( pg "lane63_event_words_per_cycle",
+      `Le,
+      of_baseline ~optional:true (pg "lane63_event_words_per_cycle") 1.1 );
+    (* the warm flow run re-lowers nothing *)
+    ([ "hierarchy"; "warm_cache_hits" ], `Gt, absolute 0.0);
+    ( [ "hierarchy"; "warm_flow_ms" ],
+      `Le,
+      of_fresh [ "hierarchy"; "cold_flow_ms" ] 1.2 );
+    (* seeded-stimulus OSSS dynamic energy: an optimization trading
+       area for a hot, always-toggling structure trips this *)
+    ( [ "power_compare"; "osss"; "total_energy_pj" ],
+      `Le,
+      of_baseline ~optional:true [ "power"; "osss"; "total_energy_pj" ] 1.2 );
+    (* the 4-job fault campaign against the serial one *)
+    ([ "parallel"; "fault_campaign"; "parallel_ms" ], `Le, parallel_limit);
   ]
 
-type opts = {
-  mutable smoke : bool;
-  mutable json : bool;
-  mutable profile : bool;
-  mutable lanes : int option;
-  mutable trace_out : string option;
-  mutable stats_json : string option;
-  mutable check_report : string option;
-  mutable cover_out : string option;
-  mutable cover_summary : bool;
-  mutable cover_merge : (string * string) option;
-  mutable cover_gate : string option;
-  mutable perf_gate : string option;
-  mutable append_history : string option;  (* date stamp for the entry *)
-  mutable history_check : string option;
-  mutable power_out : string option;
-  mutable power_summary : bool;
-  mutable jobs : int option;
-  mutable ids : string list;  (* reverse order *)
-}
-
-let usage () =
-  Obs.Log.error
-    "usage: bench [--smoke] [--json] [--profile] [--lanes N] [--trace-out \
-     FILE] [--stats-json FILE] [--check-report FILE] [--cover-out FILE] \
-     [--cover-summary] [--cover-merge A B] [--cover-gate BASELINE] \
-     [--perf-gate BASELINE] [--append-history DATE] [--history-check FILE] \
-     [--power-out FILE] [--power-summary] [--jobs N] [experiment ids...]";
-  exit 2
-
-(* CI perf gate: compare the fresh smoke-workload measurements against
-   the checked-in BENCH_sim.json.  The evals-per-cycle ratio is a
-   deterministic count and may not grow more than 20% over baseline; the
-   64-lane per-pattern speedup is wall-clock and may not fall more than
-   20% below baseline nor under the absolute 10x floor.  The minor
-   words a bare event-driven frame allocates per cycle, at 1 and at 63
-   lanes, are deterministic and may not grow more than 10%.  The OSSS
-   dynamic energy total on the seeded power workload is deterministic
-   and may not grow more than 20% — an optimization that trades area
-   for a hot, always-toggling structure trips this gate. *)
-let perf_gate_check ~baseline (ratio, speedup, words)
-    (hier_cold_s, hier_warm_s, hier_warm_hits)
-    (power_osss : Synth.Power_dyn.report) (par_serial_s, par_par_s) =
-  let doc =
-    try
-      let ic = open_in_bin baseline in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Some (Obs.Json.of_string s)
-    with _ -> None
-  in
-  match doc with
-  | None ->
-      Obs.Log.errorf "perf-gate: cannot read baseline %s" baseline;
-      exit 1
-  | Some doc -> (
-      let field key =
-        Option.bind (Obs.Json.member "perf_gate" doc) (fun pg ->
-            Option.bind (Obs.Json.member key pg) Obs.Json.number_value)
+(* Every rule over [fresh] (the smoke's report sections) against the
+   checked-in [baseline] document; 1 if any fails. *)
+let perf_gate_check ~baseline fresh =
+  match Obs.Json.load baseline with
+  | Error e ->
+      Obs.Log.errorf "perf-gate: cannot read baseline: %s" e;
+      1
+  | Ok base ->
+      let failed (path, rel, limit) =
+        let name = String.concat "." path in
+        let v = Option.value ~default:nan (num fresh path) in
+        match limit ~fresh ~base with
+        | Skip why ->
+            Obs.Log.infof "perf-gate: %s skipped: %s" name why;
+            false
+        | Missing why ->
+            Obs.Log.errorf "perf-gate: %s: %s" name why;
+            true
+        | Bound (b, how) ->
+            let ok, op =
+              match rel with
+              | `Le -> (v <= b, "<=")
+              | `Ge -> (v >= b, ">=")
+              | `Gt -> (v > b, ">")
+            in
+            (if ok then Obs.Log.infof else Obs.Log.errorf)
+              "perf-gate: %s %s %g, limit %s %g (%s)"
+              (if ok then "ok" else "FAILED")
+              name v op b how;
+            not ok
       in
-      match
-        (field "evals_per_cycle_ratio", field "word64_per_pattern_speedup")
-      with
-      | Some base_ratio, Some base_speedup ->
-          let failures = ref [] in
-          if ratio > base_ratio *. 1.2 then
-            failures :=
-              Printf.sprintf
-                "evals_per_cycle_ratio regressed: %.4f, baseline %.4f (+20%% \
-                 tolerance)"
-                ratio base_ratio
-              :: !failures;
-          if speedup < base_speedup *. 0.8 then
-            failures :=
-              Printf.sprintf
-                "word64_per_pattern_speedup regressed: %.1fx, baseline %.1fx \
-                 (-20%% tolerance)"
-                speedup base_speedup
-              :: !failures;
-          if speedup < 10.0 then
-            failures :=
-              Printf.sprintf
-                "word64_per_pattern_speedup %.1fx is under the absolute 10x \
-                 floor"
-                speedup
-              :: !failures;
-          (* Zero-subscriber gates: a bare event-driven step, at 1 and
-             at 63 lanes, must not start allocating again (older
-             baselines skip the check). *)
-          List.iter
-            (fun (key, words) ->
-              match field key with
-              | Some base when words > base *. 1.1 ->
-                  failures :=
-                    Printf.sprintf
-                      "%s: %.2f minor words per cycle, baseline %.2f (+10%% \
-                       tolerance)"
-                      key words base
-                    :: !failures
-              | Some _ -> ()
-              | None ->
-                  Obs.Log.infof
-                    "perf-gate: baseline %s has no %s; allocation gate \
-                     skipped"
-                    baseline key)
-            [
-              ("bare_event_words_per_cycle", fst words);
-              ("lane63_event_words_per_cycle", snd words);
-            ];
-          (* Module-cache gate: the warm flow run re-lowers nothing, so
-             it must not be meaningfully slower than the cold run. *)
-          if hier_warm_hits = 0 then
-            failures :=
-              "warm flow run hit the lowering cache 0 times" :: !failures;
-          if hier_warm_s > hier_cold_s *. 1.2 then
-            failures :=
-              Printf.sprintf
-                "warm flow run took %.1f ms against %.1f ms cold (over the \
-                 1.2x tolerance)"
-                (hier_warm_s *. 1000.0) (hier_cold_s *. 1000.0)
-              :: !failures;
-          (* Energy gate: deterministic seeded-stimulus total vs the
-             baseline's power section (older baselines without one skip
-             the check with a warning rather than failing). *)
-          let energy = power_osss.Synth.Power_dyn.p_total_energy_pj in
-          let base_energy =
-            List.fold_left
-              (fun acc k -> Option.bind acc (Obs.Json.member k))
-              (Some doc)
-              [ "power"; "osss"; "total_energy_pj" ]
-            |> Fun.flip Option.bind Obs.Json.number_value
-          in
-          (match base_energy with
-          | Some base when energy > base *. 1.2 ->
-              failures :=
-                Printf.sprintf
-                  "osss dynamic energy regressed: %.1f pJ, baseline %.1f pJ \
-                   (+20%% tolerance)"
-                  energy base
-                :: !failures
-          | Some base ->
-              Obs.Log.infof
-                "perf-gate: energy %.1f pJ within tolerance of baseline \
-                 %.1f pJ"
-                energy base
-          | None ->
-              Obs.Log.infof
-                "perf-gate: baseline %s has no power section; energy gate \
-                 skipped"
-                baseline);
-          (* Parallel gate: the 4-job campaign must finish in at most
-             0.6x the serial wall-clock.  Wall-clock scaling needs real
-             cores, so hosts with fewer than 4 recommended domains skip
-             with a warning — as do baselines predating the parallel
-             section. *)
-          (match
-             Option.bind (Obs.Json.member "parallel" doc) (fun p ->
-                 Obs.Json.member "jobs" p)
-           with
-          | None ->
-              Obs.Log.infof
-                "perf-gate: baseline %s has no parallel section; parallel \
-                 gate skipped"
-                baseline
-          | Some _ ->
-              if Domain.recommended_domain_count () < 4 then
-                Obs.Log.infof
-                  "perf-gate: host recommends %d domains (< 4); parallel \
-                   gate skipped (campaign %.0f ms serial, %.0f ms at 4 jobs)"
-                  (Domain.recommended_domain_count ())
-                  (par_serial_s *. 1000.0) (par_par_s *. 1000.0)
-              else if par_par_s > par_serial_s *. 0.6 then
-                failures :=
-                  Printf.sprintf
-                    "4-job fault campaign took %.0f ms against %.0f ms \
-                     serial (over the 0.6x ceiling)"
-                    (par_par_s *. 1000.0) (par_serial_s *. 1000.0)
-                  :: !failures
-              else
-                Obs.Log.infof
-                  "perf-gate: parallel ok — campaign %.0f ms at 4 jobs vs \
-                   %.0f ms serial (%.1fx)"
-                  (par_par_s *. 1000.0) (par_serial_s *. 1000.0)
-                  (par_serial_s /. par_par_s));
-          (match !failures with
-          | [] ->
-              Obs.Log.infof
-                "perf-gate: ok — ratio %.4f (baseline %.4f), word64 speedup \
-                 %.1fx (baseline %.1fx), warm flow %.1f ms vs %.1f ms cold \
-                 (%d cache hits)"
-                ratio base_ratio speedup base_speedup
-                (hier_warm_s *. 1000.0) (hier_cold_s *. 1000.0) hier_warm_hits
-          | fs ->
-              List.iter (fun f -> Obs.Log.errorf "perf-gate: %s" f) fs;
-              exit 1)
-      | _ ->
-          Obs.Log.errorf "perf-gate: baseline %s has no perf_gate section"
-            baseline;
-          exit 1)
+      if List.exists Fun.id (List.map failed perf_rules) then 1 else 0
+
+(* ------------------------------------------------------------------ *)
+(* History ledger                                                      *)
 
 (* One-line performance ledger: append the headline figures of a
    checked-in BENCH_sim.json to bench/history.jsonl, so trend questions
@@ -1933,26 +855,16 @@ let perf_gate_check ~baseline (ratio, speedup, words)
    ledger against that schema. *)
 let history_schema = "osss.bench-history/v1"
 
+let non_blank_lines text =
+  List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' text)
+
 let append_history ~date ~baseline ~history =
-  let doc =
-    try
-      let ic = open_in_bin baseline in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Some (Obs.Json.of_string s)
-    with _ -> None
-  in
-  match doc with
-  | None ->
-      Obs.Log.errorf "append-history: cannot read %s" baseline;
-      exit 1
-  | Some doc -> (
-      let path keys =
-        List.fold_left
-          (fun acc k -> Option.bind acc (Obs.Json.member k))
-          (Some doc) keys
-        |> Fun.flip Option.bind Obs.Json.number_value
-      in
+  match Obs.Json.load baseline with
+  | Error e ->
+      Obs.Log.errorf "append-history: %s" e;
+      1
+  | Ok doc -> (
+      let path = num doc in
       let workload =
         match
           Option.bind (Obs.Json.member "workload" doc) Obs.Json.string_value
@@ -1998,70 +910,53 @@ let append_history ~date ~baseline ~history =
              LAST entry for this workload is consulted — an older
              same-date line (a backfill) is someone's explicit edit. *)
           let last_date_for_workload =
-            try
-              let ic = open_in history in
-              let last = ref None in
-              (try
-                 while true do
-                   let l = input_line ic in
-                   if String.trim l <> "" then
-                     match Obs.Json.of_string l with
-                     | exception Obs.Json.Parse_error _ -> ()
-                     | j ->
-                         let str k =
-                           Option.bind (Obs.Json.member k j)
-                             Obs.Json.string_value
-                         in
-                         if str "workload" = Some workload then
-                           last := str "date"
-                 done
-               with End_of_file -> ());
-              close_in ic;
-              !last
-            with Sys_error _ -> None
+            match Obs.Json.read_file history with
+            | Error _ -> None
+            | Ok text ->
+                List.fold_left
+                  (fun last l ->
+                    match Obs.Json.of_string l with
+                    | exception Obs.Json.Parse_error _ -> last
+                    | j ->
+                        let str k =
+                          Option.bind (Obs.Json.member k j)
+                            Obs.Json.string_value
+                        in
+                        if str "workload" = Some workload then str "date"
+                        else last)
+                  None (non_blank_lines text)
           in
           if last_date_for_workload = Some date then begin
             Obs.Log.errorf
               "append-history: %s already ends with a %s entry for %s — \
                refusing the duplicate"
               history date workload;
-            exit 1
-          end;
-          let oc =
-            open_out_gen [ Open_append; Open_creat ] 0o644 history
-          in
-          output_string oc (line ^ "\n");
-          close_out oc;
-          Obs.Log.infof "append-history: %s >> %s" line history;
-          exit 0
+            1
+          end
+          else begin
+            let oc =
+              open_out_gen [ Open_append; Open_creat ] 0o644 history
+            in
+            output_string oc (line ^ "\n");
+            close_out oc;
+            Obs.Log.infof "append-history: %s >> %s" line history;
+            0
+          end
       | _ ->
           Obs.Log.errorf
             "append-history: %s is missing the expected sections" baseline;
-          exit 1)
+          1)
 
 (* Validate every line of a bench-history ledger: parseable JSON,
    the v1 stamp, a date, and numeric headline figures.  CI runs this
    against the checked-in bench/history.jsonl so the ledger stays
    greppable. *)
 let history_check ~history =
-  let lines =
-    try
-      let ic = open_in history in
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file ->
-            close_in ic;
-            List.rev acc
-      in
-      Some (go [])
-    with Sys_error _ -> None
-  in
-  match lines with
-  | None ->
-      Obs.Log.errorf "history-check: cannot read %s" history;
-      exit 1
-  | Some lines ->
+  match Obs.Json.read_file history with
+  | Error e ->
+      Obs.Log.errorf "history-check: %s" e;
+      1
+  | Ok text -> (
       let check_line i line =
         if String.trim line = "" then None
         else
@@ -2096,299 +991,212 @@ let history_check ~history =
                       [ "evals_per_cycle"; "word64_speedup"; "cold_flow_ms" ])
       in
       let errors =
-        List.concat
-          (List.mapi
-             (fun i line ->
-               Option.to_list (check_line (i + 1) line))
-             lines)
+        List.mapi (fun i l -> check_line (i + 1) l)
+          (String.split_on_char '\n' text)
       in
-      let entries =
-        List.length (List.filter (fun l -> String.trim l <> "") lines)
-      in
-      (match errors with
+      match List.filter_map Fun.id errors with
       | [] ->
-          Printf.printf "%s: ok (%d entries, schema %s)\n" history entries
+          Printf.printf "%s: ok (%d entries, schema %s)\n" history
+            (List.length (non_blank_lines text))
             history_schema;
-          exit 0
+          0
       | es ->
           List.iter (fun e -> Obs.Log.errorf "history-check: %s" e) es;
-          exit 1)
+          1)
 
-let () =
-  let o =
-    {
-      smoke = false;
-      json = false;
-      profile = false;
-      lanes = None;
-      trace_out = None;
-      stats_json = None;
-      check_report = None;
-      cover_out = None;
-      cover_summary = false;
-      cover_merge = None;
-      cover_gate = None;
-      perf_gate = None;
-      append_history = None;
-      history_check = None;
-      power_out = None;
-      power_summary = false;
-      jobs = None;
-      ids = [];
-    }
+(* The in-repo schema check CI runs against a report produced moments
+   earlier.  A coverage section must not merely look like a coverage
+   DB — it has to parse back as one. *)
+let check_report file =
+  match
+    Result.bind (Obs.Json.load file) (fun doc ->
+        Result.map (fun () -> doc) (Obs.Report.validate doc))
+  with
+  | Error e ->
+      Obs.Log.errorf "%s: invalid run report: %s" file e;
+      1
+  | Ok doc -> (
+      match Obs.Json.member "coverage" doc with
+      | None ->
+          Printf.printf "%s: valid (no coverage section)\n" file;
+          0
+      | Some c -> (
+          match Cover.Db.of_json c with
+          | Ok db ->
+              let t = Cover.Db.totals db in
+              Printf.printf "%s: valid, coverage %d/%d toggle bits\n" file
+                t.Cover.Db.toggle_covered t.Cover.Db.toggle_bits;
+              0
+          | Error e ->
+              Obs.Log.errorf "%s: coverage section: %s" file e;
+              1))
+
+(* ------------------------------------------------------------------ *)
+(* Command line                                                        *)
+
+(* The smoke workload with its gates; in --json mode stdout carries
+   only the run report (CI pipes it into --check-report), so the
+   human-readable tables go to stderr. *)
+let run_smoke ~json ~cover_gate:gate ~perf_gate obs =
+  let extra, profiles, power =
+    bench_smoke ~profile:(Obs_cli.profiling obs || json) ()
   in
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-        o.smoke <- true;
-        parse rest
-    | "--json" :: rest ->
-        o.json <- true;
-        parse rest
-    | "--profile" :: rest ->
-        o.profile <- true;
-        parse rest
-    | "--lanes" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            o.lanes <- Some n;
-            parse rest
-        | Some _ | None ->
-            Obs.Log.errorf "--lanes expects a positive integer, got %s" n;
-            usage ())
-    | "--perf-gate" :: file :: rest ->
-        o.perf_gate <- Some file;
-        parse rest
-    | "--append-history" :: date :: rest ->
-        o.append_history <- Some date;
-        parse rest
-    | "--history-check" :: file :: rest ->
-        o.history_check <- Some file;
-        parse rest
-    | "--power-out" :: file :: rest ->
-        o.power_out <- Some file;
-        parse rest
-    | "--power-summary" :: rest ->
-        o.power_summary <- true;
-        parse rest
-    | "--jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            o.jobs <- Some n;
-            parse rest
-        | Some _ | None ->
-            Obs.Log.errorf "--jobs expects a positive integer, got %s" n;
-            usage ())
-    | "--trace-out" :: file :: rest ->
-        o.trace_out <- Some file;
-        parse rest
-    | "--stats-json" :: file :: rest ->
-        o.stats_json <- Some file;
-        parse rest
-    | "--check-report" :: file :: rest ->
-        o.check_report <- Some file;
-        parse rest
-    | "--cover-out" :: file :: rest ->
-        o.cover_out <- Some file;
-        parse rest
-    | "--cover-summary" :: rest ->
-        o.cover_summary <- true;
-        parse rest
-    | "--cover-merge" :: a :: b :: rest ->
-        o.cover_merge <- Some (a, b);
-        parse rest
-    | "--cover-gate" :: file :: rest ->
-        o.cover_gate <- Some file;
-        parse rest
-    | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->
-        Obs.Log.errorf "unknown or incomplete option %s" arg;
-        usage ()
-    | id :: rest ->
-        o.ids <- id :: o.ids;
-        parse rest
+  let perf_rc =
+    match perf_gate with
+    | Some baseline -> perf_gate_check ~baseline (Obs.Json.Obj extra)
+    | None -> 0
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  (* Campaign parallelism: every ?jobs default in the process follows
-     this ([Par.default_jobs]); jobs=1 runs the serial code paths. *)
-  (match o.jobs with Some j -> Par.set_default_jobs j | None -> ());
-  (* --append-history summarizes a checked-in baseline and exits; the
-     baseline defaults to BENCH_sim.json but follows --perf-gate. *)
-  (match o.append_history with
-  | Some date ->
+  let cover =
+    if Obs_cli.covering obs || gate <> None then
+      Some (smoke_cover_db ~pixels:32 ())
+    else None
+  in
+  let cover_rc =
+    match (gate, cover) with
+    | Some baseline, Some db -> cover_gate ~baseline db
+    | _ -> 0
+  in
+  if Obs.Span.enabled () then run_kernel_and_flow ();
+  if json then
+    print_endline
+      (Obs.Json.to_string ~pretty:true
+         (Obs.Report.make
+            ?coverage:(Option.map Cover.Db.to_json cover)
+            ~power:(Synth.Power_dyn.to_json power)
+            ~profiles:
+              (List.map (fun (t, raw) -> (t, Obs.Profile.top raw)) profiles)
+            ~extra ~run:"bench-smoke" ()));
+  Obs_cli.finish obs
+    ~out:(if json then stderr else stdout)
+    ~profiles ?cover ~power ~run:"bench-smoke";
+  max perf_rc cover_rc
+
+let run_experiments ids obs =
+  let selected =
+    match ids with
+    | [] -> Experiments.experiments
+    | ids ->
+        List.filter_map
+          (fun id ->
+            match
+              List.assoc_opt (String.lowercase_ascii id)
+                Experiments.experiments
+            with
+            | Some f -> Some (id, f)
+            | None ->
+                Obs.Log.errorf "unknown experiment %s" id;
+                None)
+          ids
+  in
+  Printf.printf
+    "OSSS evaluation reproduction — experiments from Bannow & Haug, DATE \
+     2004\n";
+  List.iter (fun (_, f) -> f ()) selected;
+  Obs_cli.finish obs ~run:"bench";
+  0
+
+let main smoke json check_report_file gate perf_gate append_date
+    history_file ids obs =
+  match
+    (append_date, history_file, Obs_cli.merge_requested obs, check_report_file)
+  with
+  | Some date, _, _, _ ->
+      (* the baseline defaults to BENCH_sim.json but follows --perf-gate *)
       append_history ~date
-        ~baseline:(Option.value o.perf_gate ~default:"BENCH_sim.json")
+        ~baseline:(Option.value perf_gate ~default:"BENCH_sim.json")
         ~history:"bench/history.jsonl"
-  | None -> ());
-  (* --history-check validates the ledger and exits. *)
-  (match o.history_check with
-  | Some file -> history_check ~history:file
-  | None -> ());
-  (* --cover-merge unions two coverage DBs and exits: CI merges the
-     per-seed databases into the uploaded artifact with this. *)
-  (match o.cover_merge with
-  | Some (a, b) -> (
-      match (Cover.Db.load a, Cover.Db.load b) with
-      | Ok da, Ok db ->
-          let merged = Cover.Db.merge da db in
-          (match o.cover_out with
-          | Some path ->
-              Cover.Db.save merged path;
-              Obs.Log.infof "merged coverage written to %s" path
-          | None -> ());
-          if o.cover_summary || o.cover_out = None then
-            print_string (Cover.Db.summary merged);
-          exit 0
-      | (Error e, _ | _, Error e) ->
-          Obs.Log.errorf "cover-merge: %s" e;
-          exit 1)
-  | None -> ());
-  (* --check-report validates and exits: the in-repo schema check CI
-     runs against a report produced moments earlier.  A coverage
-     section must not merely look like a coverage DB — it has to parse
-     back as one. *)
-  (match o.check_report with
-  | Some file -> (
-      match Obs.Report.validate_file file with
-      | Error e ->
-          Obs.Log.errorf "%s: invalid run report: %s" file e;
-          exit 1
-      | Ok () -> (
-          let doc =
-            let ic = open_in_bin file in
-            let s = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            Obs.Json.of_string s
+  | None, Some file, _, _ -> history_check ~history:file
+  | None, None, Some pair, _ -> Obs_cli.run_merge obs pair
+  | None, None, None, Some file -> check_report file
+  | None, None, None, None ->
+      let refuse msg =
+        Obs.Log.error msg;
+        2
+      in
+      if (Obs_cli.covering obs || gate <> None) && not smoke then
+        refuse
+          "coverage collection is attached to the smoke workload; add --smoke"
+      else if perf_gate <> None && not smoke then
+        refuse "--perf-gate is attached to the smoke workload; add --smoke"
+      else if Obs_cli.powering obs && not (smoke || json) then
+        refuse
+          "power collection is attached to the smoke/json workloads; add \
+           --smoke or --json"
+      else begin
+        Obs_cli.setup obs;
+        if smoke then run_smoke ~json ~cover_gate:gate ~perf_gate obs
+        else if json then begin
+          bench_json ~profile:(Obs_cli.profiling obs) ();
+          let power =
+            if Obs_cli.powering obs then Some (fst (Lazy.force measure_power))
+            else None
           in
-          match Obs.Json.member "coverage" doc with
-          | None ->
-              Printf.printf "%s: valid (no coverage section)\n" file;
-              exit 0
-          | Some c -> (
-              match Cover.Db.of_json c with
-              | Ok db ->
-                  Printf.printf "%s: valid, coverage %d/%d toggle bits\n" file
-                    (Cover.Db.totals db).Cover.Db.toggle_covered
-                    (Cover.Db.totals db).Cover.Db.toggle_bits;
-                  exit 0
-              | Error e ->
-                  Obs.Log.errorf "%s: coverage section: %s" file e;
-                  exit 1)))
-  | None -> ());
-  let tracing = o.trace_out <> None || o.stats_json <> None in
-  if tracing then begin
-    Obs.Span.enable ();
-    Obs.Hist.enable ()
-  end;
-  let covering =
-    o.cover_out <> None || o.cover_summary || o.cover_gate <> None
+          Obs_cli.finish obs ~out:stderr ?power ~run:"bench";
+          0
+        end
+        else run_experiments ids obs
+      end
+
+open Cmdliner
+
+let smoke_arg =
+  let doc =
+    "Run the small self-checking workload instead of the experiments: \
+     RTL, gate-level and word-parallel engines in lockstep, a seeded \
+     fault caught and shrunk, event-driven against full evaluation, \
+     and the perf, hierarchy, power and parallel measurements."
   in
-  if covering && not o.smoke then begin
-    Obs.Log.error
-      "coverage collection is attached to the smoke workload; add --smoke";
-    exit 2
-  end;
-  if o.perf_gate <> None && not o.smoke then begin
-    Obs.Log.error "--perf-gate is attached to the smoke workload; add --smoke";
-    exit 2
-  end;
-  let powering = o.power_out <> None || o.power_summary in
-  if powering && not (o.smoke || o.json) then begin
-    Obs.Log.error
-      "power collection is attached to the smoke/json workloads; add --smoke \
-       or --json";
-    exit 2
-  end;
-  (* Exports shared by the smoke and full-json paths: the OSSS power
-     report's VCD waveform and human summary.  In --json mode stdout
-     must stay pure JSON, so the summary goes to stderr. *)
-  let export_power (po : Synth.Power_dyn.report) =
-    (match o.power_out with
-    | Some path ->
-        Synth.Power_dyn.save_vcd po path;
-        Obs.Log.infof "power waveform written to %s" path
-    | None -> ());
-    if o.power_summary then
-      (if o.json then prerr_string else print_string)
-        (Synth.Power_dyn.summary po)
+  Arg.(value & flag & info [ "smoke" ] ~doc)
+
+let json_arg =
+  let doc =
+    "Print a JSON document instead of the experiment tables: with \
+     --smoke the run report (schema v3), alone the full frame benchmark, \
+     also written to BENCH_sim.json."
   in
-  let collected = ref None in
-  let power_report = ref None in
-  if o.smoke then begin
-    let extra, profiles, gate_vals, hier_vals, power_osss, par_vals =
-      bench_smoke ~profile:(o.profile || o.json) ()
-    in
-    power_report := Some power_osss;
-    if powering then export_power power_osss;
-    (match o.perf_gate with
-    | Some baseline ->
-        perf_gate_check ~baseline gate_vals hier_vals power_osss par_vals
-    | None -> ());
-    if covering then begin
-      let db = smoke_cover_db ~pixels:32 () in
-      collected := Some db;
-      (match o.cover_out with
-      | Some path ->
-          Cover.Db.save db path;
-          Obs.Log.infof "coverage database written to %s" path
-      | None -> ());
-      (* In --json mode stdout must stay pure JSON (CI pipes it into
-         --check-report), so the human-readable summary goes to stderr. *)
-      if o.cover_summary then
-        (if o.json then prerr_string else print_string)
-          (Cover.Db.summary db);
-      match o.cover_gate with
-      | Some baseline -> cover_gate ~baseline db
-      | None -> ()
-    end;
-    if tracing then cover_traced_layers ();
-    if o.json then
-      print_endline
-        (Obs.Json.to_string ~pretty:true
-           (Obs.Report.make
-              ?coverage:(Option.map Cover.Db.to_json !collected)
-              ?power:(Option.map Synth.Power_dyn.to_json !power_report)
-              ~profiles ~extra ~run:"bench-smoke" ()))
-  end
-  else if o.json then begin
-    bench_json ~profile:o.profile ~lanes:o.lanes ();
-    if powering then begin
-      let po, _, _ = Lazy.force measure_power in
-      power_report := Some po;
-      export_power po
-    end
-  end
-  else begin
-    let selected =
-      match List.rev o.ids with
-      | [] -> experiments
-      | ids ->
-          List.filter_map
-            (fun id ->
-              match List.assoc_opt (String.lowercase_ascii id) experiments with
-              | Some f -> Some (id, f)
-              | None ->
-                  Obs.Log.errorf "unknown experiment %s" id;
-                  None)
-            ids
-    in
-    Printf.printf
-      "OSSS evaluation reproduction — experiments from Bannow & Haug, DATE \
-       2004\n";
-    List.iter (fun (_, f) -> f ()) selected
-  end;
-  (match o.stats_json with
-  | Some path ->
-      let run = if o.smoke then "bench-smoke" else "bench" in
-      Obs.Json.save
-        (Obs.Report.make
-           ?coverage:(Option.map Cover.Db.to_json !collected)
-           ?power:(Option.map Synth.Power_dyn.to_json !power_report)
-           ~run ())
-        path;
-      Obs.Log.infof "run report written to %s" path
-  | None -> ());
-  match o.trace_out with
-  | Some path ->
-      Obs.Span.save_chrome path;
-      Obs.Log.infof "chrome trace written to %s" path
-  | None -> ()
+  Arg.(value & flag & info [ "json" ] ~doc)
+
+let file_arg name ~docv doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv ~doc)
+
+let check_report_arg =
+  file_arg "check-report" ~docv:"FILE"
+    "Validate a run report written by --json (schema, and a coverage \
+     section that parses back) and exit."
+
+let cover_gate_arg =
+  file_arg "cover-gate" ~docv:"BASELINE"
+    "With --smoke: fail unless every item the coverage database \
+     $(docv) covers is still covered."
+
+let perf_gate_arg =
+  file_arg "perf-gate" ~docv:"BASELINE"
+    "With --smoke: fail when a perf figure leaves its bound against the \
+     BENCH_sim.json document $(docv).  Also the baseline of \
+     --append-history."
+
+let append_history_arg =
+  file_arg "append-history" ~docv:"DATE"
+    "Append the headline figures of the baseline (BENCH_sim.json, or \
+     --perf-gate) to bench/history.jsonl, stamped $(docv), and exit."
+
+let history_check_arg =
+  file_arg "history-check" ~docv:"FILE"
+    "Validate every line of a bench-history ledger and exit."
+
+let ids_arg =
+  let doc =
+    "Experiments to run, in order (e1-e9, f12, formal, power, layout, \
+     xcheck, ablation, faults); all of them when none is given."
+  in
+  Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
+
+let cmd =
+  let doc = "reproduce the paper's experiments and gate the simulators" in
+  Cmd.v (Cmd.info "bench" ~doc)
+    Term.(
+      const main $ smoke_arg $ json_arg $ check_report_arg $ cover_gate_arg
+      $ perf_gate_arg $ append_history_arg $ history_check_arg $ ids_arg
+      $ Obs_cli.term)
+
+let () = exit (Cmd.eval' cmd)

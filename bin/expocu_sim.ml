@@ -4,6 +4,26 @@
 open Cmdliner
 open Hdl
 
+let gain sim =
+  float_of_int (Rtl_sim.get_int sim "exposure")
+  /. float_of_int Expocu.Param_calc.gain_unity
+
+(* The closed loop: power-on reset, then [frames] camera frames, each
+   exposed with the gain the ExpoCU outputs at its start.  [set] and
+   [step] drive [sim] plus whatever rides along with it;
+   [after_frame n data] runs once frame [n] is done. *)
+let closed_loop sim camera ~target ~frames ~set ~step after_frame =
+  Expocu.Expocu_top.power_on ~target ~set ~step ();
+  for frame = 1 to frames do
+    let data = Expocu.Camera.frame camera ~exposure:(gain sim) in
+    ignore
+      (Expocu.Expocu_top.drive_frame ~reset:false ~set ~step
+         ~read:(Rtl_sim.get_int sim) ~pixels:(Array.length data)
+         ~pixel:(fun i -> set "pixel" data.(i))
+         ());
+    after_frame frame data
+  done
+
 let run_rtl style frames illumination target seed vcd_path obs =
   let design =
     match style with
@@ -62,7 +82,7 @@ let run_rtl style frames illumination target seed vcd_path obs =
     end
     else None
   in
-  let set_input name v =
+  let set name v =
     Rtl_sim.set_input_int sim name v;
     match shadow with
     | Some (_, ns, _) -> Backend.Nl_sim.set_input_int ns name v
@@ -70,53 +90,20 @@ let run_rtl style frames illumination target seed vcd_path obs =
   in
   let step () =
     Rtl_sim.step sim;
-    match shadow with
+    (match shadow with
     | Some (_, ns, _) -> Backend.Nl_sim.step ns
-    | None -> ()
-  in
-  let run n =
-    Rtl_sim.run sim n;
-    match shadow with
-    | Some (_, ns, _) -> Backend.Nl_sim.run ns n
-    | None -> ()
-  in
-  set_input "ext_reset" 0;
-  set_input "target_bin" target;
-  set_input "sda_in" 0;
-  run 15;
-  Printf.printf "%5s %8s %10s %10s\n" "frame" "median" "gain" "mean/255";
-  for _frame = 1 to frames do
-    let gain =
-      float_of_int (Rtl_sim.get_int sim "exposure")
-      /. float_of_int Expocu.Param_calc.gain_unity
-    in
-    let data = Expocu.Camera.frame camera ~exposure:gain in
-    set_input "frame_sync" 1;
-    run 4;
-    set_input "line_valid" 1;
-    Array.iter
-      (fun px ->
-        set_input "pixel" px;
-        step ();
-        Option.iter Rtl_trace.sample tracer)
-      data;
-    set_input "line_valid" 0;
-    set_input "frame_sync" 0;
-    let guard = ref 0 in
-    while Rtl_sim.get_int sim "frame_done" = 0 && !guard < 4000 do
-      step ();
-      Option.iter Rtl_trace.sample tracer;
-      incr guard
-    done;
-    (match coverage with
-    | Some (cp, _) -> Expocu.Coverpoints.sample_frame cp sim
     | None -> ());
-    Printf.printf "%5d %8d %10.3f %10.3f\n" _frame
-      (Rtl_sim.get_int sim "median_bin")
-      (float_of_int (Rtl_sim.get_int sim "exposure")
-      /. float_of_int Expocu.Param_calc.gain_unity)
-      (Expocu.Camera.mean_level data /. 255.0)
-  done;
+    Option.iter Rtl_trace.sample tracer
+  in
+  Printf.printf "%5s %8s %10s %10s\n" "frame" "median" "gain" "mean/255";
+  closed_loop sim camera ~target ~frames ~set ~step (fun frame data ->
+      (match coverage with
+      | Some (cp, _) -> Expocu.Coverpoints.sample_frame cp sim
+      | None -> ());
+      Printf.printf "%5d %8d %10.3f %10.3f\n" frame
+        (Rtl_sim.get_int sim "median_bin")
+        (gain sim)
+        (Expocu.Camera.mean_level data /. 255.0));
   Printf.printf "\n%d clock cycles simulated (%.2f ms at 66 MHz)\n"
     (Rtl_sim.cycles sim)
     (float_of_int (Rtl_sim.cycles sim) /. 66.0e6 *. 1000.0);
@@ -183,34 +170,9 @@ let cover_run ~style ~frames ~illumination ~target ~seed () =
   Rtl_sim.enable_toggle_cover sim;
   let cp = Expocu.Coverpoints.attach sim in
   let mon = Expocu.Monitors.expocu_monitor sim in
-  let set_input = Rtl_sim.set_input_int sim in
-  set_input "ext_reset" 0;
-  set_input "target_bin" target;
-  set_input "sda_in" 0;
-  Rtl_sim.run sim 15;
-  for _frame = 1 to frames do
-    let gain =
-      float_of_int (Rtl_sim.get_int sim "exposure")
-      /. float_of_int Expocu.Param_calc.gain_unity
-    in
-    let data = Expocu.Camera.frame camera ~exposure:gain in
-    set_input "frame_sync" 1;
-    Rtl_sim.run sim 4;
-    set_input "line_valid" 1;
-    Array.iter
-      (fun px ->
-        set_input "pixel" px;
-        Rtl_sim.step sim)
-      data;
-    set_input "line_valid" 0;
-    set_input "frame_sync" 0;
-    let guard = ref 0 in
-    while Rtl_sim.get_int sim "frame_done" = 0 && !guard < 4000 do
-      Rtl_sim.step sim;
-      incr guard
-    done;
-    Expocu.Coverpoints.sample_frame cp sim
-  done;
+  closed_loop sim camera ~target ~frames ~set:(Rtl_sim.set_input_int sim)
+    ~step:(fun () -> Rtl_sim.step sim)
+    (fun _ _ -> Expocu.Coverpoints.sample_frame cp sim);
   Assert_mon.finish mon;
   if not (Assert_mon.ok mon) then
     failwith (Printf.sprintf "seed %d: protocol monitor violated" seed);

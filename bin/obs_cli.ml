@@ -87,6 +87,15 @@ let power_summary_arg =
   in
   Arg.(value & flag & info [ "power-summary" ] ~doc)
 
+(* Rejected at parse time, so a bad count is a usage error. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None -> Error (`Msg ("expected a positive integer, got " ^ s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let jobs_arg =
   let doc =
     "Run sharded campaigns (fault lists, multi-seed sweeps) on $(docv) \
@@ -94,7 +103,7 @@ let jobs_arg =
      OSSS_JOBS environment variable); 1 runs the serial code paths. \
      Results are bit-identical for every value."
   in
-  Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "jobs" ] ~docv:"N" ~doc)
 
 let term =
   let make trace_out stats_json flame_out profile cover_out cover_summary
@@ -144,10 +153,7 @@ let run_merge t (a, b) =
       1
 
 let setup t =
-  (match t.jobs with
-  | Some j when j >= 1 -> Par.set_default_jobs j
-  | Some j -> invalid_arg (Printf.sprintf "--jobs %d: expected >= 1" j)
-  | None -> ());
+  Option.iter Par.set_default_jobs t.jobs;
   if t.trace_out <> None || t.stats_json <> None || t.flame_out <> None
   then begin
     Obs.Span.enable ();
@@ -159,16 +165,20 @@ let setup t =
    written to --cover-out, printed on --cover-summary and embedded in
    the --stats-json report.  [power] is the run's dynamic power report:
    its waveform goes to --power-out, its summary to --power-summary and
-   its JSON into the --stats-json report (schema v3). *)
-let finish ?(profiles = []) ?cover ?power ~run t =
+   its JSON into the --stats-json report (schema v3).  The
+   human-readable tables go to [out], which is stderr when stdout
+   carries a machine-readable document. *)
+let finish ?(out = stdout) ?(profiles = []) ?cover ?power ~run t =
   let ranked =
     List.map (fun (title, raw) -> (title, Obs.Profile.top raw)) profiles
   in
+  let table text =
+    output_char out '\n';
+    output_string out text
+  in
   if t.profile then
     List.iter
-      (fun (title, entries) ->
-        print_newline ();
-        print_string (Obs.Profile.table ~title entries))
+      (fun (title, entries) -> table (Obs.Profile.table ~title entries))
       ranked;
   (match cover with
   | Some db ->
@@ -177,10 +187,7 @@ let finish ?(profiles = []) ?cover ?power ~run t =
           Cover.Db.save db path;
           Obs.Log.infof "coverage database written to %s" path
       | None -> ());
-      if t.cover_summary then begin
-        print_newline ();
-        print_string (Cover.Db.summary db)
-      end
+      if t.cover_summary then table (Cover.Db.summary db)
   | None -> ());
   (match (power : Synth.Power_dyn.report option) with
   | Some pr ->
@@ -189,10 +196,7 @@ let finish ?(profiles = []) ?cover ?power ~run t =
           Synth.Power_dyn.save_vcd pr path;
           Obs.Log.infof "power waveform written to %s" path
       | None -> ());
-      if t.power_summary then begin
-        print_newline ();
-        print_string (Synth.Power_dyn.summary pr)
-      end
+      if t.power_summary then table (Synth.Power_dyn.summary pr)
   | None -> ());
   (match t.stats_json with
   | Some path ->

@@ -185,17 +185,11 @@ let simulate design engine_kind lanes cycles seed fault why_spec ckpt_every
    (power at top level, schema v3) and an osss_synth --json flow
    result (same key). *)
 let peak_why_of_file path =
-  let text =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Obs.Json.of_string text with
-  | exception Obs.Json.Parse_error msg ->
-      Printf.eprintf "%s: not valid JSON: %s\n" path msg;
+  match Obs.Json.load path with
+  | Error msg ->
+      Printf.eprintf "--why-peak: %s\n" msg;
       exit 2
-  | json -> (
+  | Ok json -> (
       match
         Option.bind (Obs.Json.member "power" json) (fun p ->
             Option.bind (Obs.Json.member "peak_why" p) Obs.Json.string_value)

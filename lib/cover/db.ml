@@ -606,17 +606,5 @@ let of_json j =
 let save db path = Json.save (to_json db) path
 
 let load path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | text -> (
-      match Json.of_string text with
-      | exception Json.Parse_error msg -> Error (path ^ ": " ^ msg)
-      | j -> (
-          match of_json j with
-          | Ok db -> Ok db
-          | Error msg -> Error (path ^ ": " ^ msg)))
+  Result.bind (Json.load path) (fun j ->
+      Result.map_error (fun msg -> path ^ ": " ^ msg) (of_json j))

@@ -10,8 +10,6 @@ module type S = sig
   val step : t -> unit
   val cycles : t -> int
   val lanes : t -> int
-  val set_input_lane : t -> lane:int -> string -> Bitvec.t -> unit
-  val get_lane : t -> lane:int -> string -> Bitvec.t
   val stats : t -> (string * int) list
   val probes : t -> (string * int) list
   val probe : t -> string -> Bitvec.t
@@ -21,10 +19,6 @@ module type S = sig
 end
 
 type t = Pack : (module S with type t = 'a) * 'a * string -> t
-
-let single_lane who f e ~lane =
-  if lane <> 0 then invalid_arg (who ^ ": scalar backend has a single lane");
-  f e
 
 let pack (type a) ?label (m : (module S with type t = a)) (state : a) =
   let module M = (val m) in
@@ -40,11 +34,6 @@ let settle (Pack ((module M), e, _)) = M.settle e
 let step (Pack ((module M), e, _)) = M.step e
 let cycles (Pack ((module M), e, _)) = M.cycles e
 let lanes (Pack ((module M), e, _)) = M.lanes e
-
-let set_input_lane (Pack ((module M), e, _)) ~lane name bv =
-  M.set_input_lane e ~lane name bv
-
-let get_lane (Pack ((module M), e, _)) ~lane name = M.get_lane e ~lane name
 let stats (Pack ((module M), e, _)) = M.stats e
 let probes (Pack ((module M), e, _)) = M.probes e
 let probe (Pack ((module M), e, _)) name = M.probe e name
@@ -92,7 +81,6 @@ type fault = {
   inner : t;
   fault_port : string;
   from_cycle : int;
-  fault_lane : int option;  (* [None]: every lane (and the plain view) *)
   mutable fault_events : bool;  (* [enable_events] was called *)
   mutable last_fault_emit : int;
       (* cycle of the last Fault event, so an armed cycle with many
@@ -127,34 +115,19 @@ module Faulty = struct
         | None -> Obs.Event.no_cause
       in
       ignore
-        (Obs.Event.emit ~cycle:cyc
-           ?lane:f.fault_lane
-           ~value:(Bool.to_int (Bitvec.get v 0))
+        (Obs.Event.emit ~cycle:cyc ~value:(Bool.to_int (Bitvec.get v 0))
            ~cause Obs.Event.Fault f.fault_port)
     end;
     v
 
   let get f name =
     let v = get f.inner name in
-    if
-      name = f.fault_port && armed f
-      && (match f.fault_lane with None | Some 0 -> true | Some _ -> false)
-    then ev_fault f (flip v)
-    else v
+    if name = f.fault_port && armed f then ev_fault f (flip v) else v
 
   let settle f = settle f.inner
   let step f = step f.inner
   let cycles f = cycles f.inner
   let lanes f = lanes f.inner
-  let set_input_lane f ~lane name bv = set_input_lane f.inner ~lane name bv
-
-  let get_lane f ~lane name =
-    let v = get_lane f.inner ~lane name in
-    if
-      name = f.fault_port && armed f
-      && (match f.fault_lane with None -> true | Some l -> l = lane)
-    then ev_fault f (flip v)
-    else v
 
   let stats f = stats f.inner
   let probes f = probes f.inner
@@ -167,27 +140,17 @@ module Faulty = struct
   let checkpoint f = checkpoint_thunk f.inner
 end
 
-let inject_fault ?(from_cycle = 0) ?lane ~port e =
+let inject_fault ?(from_cycle = 0) ~port e =
   (match List.assoc_opt port (outputs e) with
   | Some _ -> ()
   | None -> invalid_arg ("Engine.inject_fault: no output port " ^ port));
-  (match lane with
-  | Some l when l < 0 || l >= lanes e ->
-      invalid_arg
-        (Printf.sprintf "Engine.inject_fault: lane %d out of range (%d lanes)"
-           l (lanes e))
-  | Some _ | None -> ());
-  let suffix =
-    match lane with Some l -> Printf.sprintf "@%d" l | None -> ""
-  in
   pack
-    ~label:(label e ^ "+fault:" ^ port ^ suffix)
+    ~label:(label e ^ "+fault:" ^ port)
     (module Faulty)
     {
       inner = e;
       fault_port = port;
       from_cycle;
-      fault_lane = lane;
       fault_events = false;
       last_fault_emit = -1;
     }

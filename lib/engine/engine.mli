@@ -56,13 +56,6 @@ module type S = sig
       engine.  All lanes share the clock — {!step} advances every
       lane. *)
 
-  val set_input_lane : t -> lane:int -> string -> Bitvec.t -> unit
-  (** Drive one lane only.  Lane 0 of a scalar backend is
-      {!set_input}; any other lane raises [Invalid_argument]. *)
-
-  val get_lane : t -> lane:int -> string -> Bitvec.t
-  (** The port value seen by [lane] (lane 0 is {!get}). *)
-
   val stats : t -> (string * int) list
   (** Engine-specific activity counters (same figures the global
       [Perf] registry accumulates), e.g. gate evaluations. *)
@@ -97,11 +90,6 @@ module type S = sig
       rewinds to it; [None] for backends without checkpoint support. *)
 end
 
-val single_lane : string -> ('e -> 'a) -> 'e -> lane:int -> 'a
-(** [single_lane who op] is the {!S.set_input_lane} or {!S.get_lane}
-    of a scalar backend built from its lane-0 operation [op]: lane 0 is
-    [op], any other lane raises [Invalid_argument] naming [who]. *)
-
 type t = Pack : (module S with type t = 'a) * 'a * string -> t
 (** An engine instance packed with its implementation and an instance
     label (used in mismatch reports and trace scopes). *)
@@ -124,8 +112,6 @@ val step : t -> unit
 val run : t -> int -> unit
 val cycles : t -> int
 val lanes : t -> int
-val set_input_lane : t -> lane:int -> string -> Bitvec.t -> unit
-val get_lane : t -> lane:int -> string -> Bitvec.t
 val stats : t -> (string * int) list
 val probes : t -> (string * int) list
 val probe : t -> string -> Bitvec.t
@@ -154,21 +140,17 @@ val restore : checkpoint -> unit
 val checkpoint_cycle : checkpoint -> int
 val checkpoint_label : checkpoint -> string
 
-val inject_fault : ?from_cycle:int -> ?lane:int -> port:string -> t -> t
+val inject_fault : ?from_cycle:int -> port:string -> t -> t
 (** A wrapper engine that behaves exactly like the inner one except
-    that reads of output [port] come back with the least significant
+    that {!get} of output [port] comes back with the least significant
     bit flipped once the engine has stepped at least [from_cycle]
-    (default [0]) cycles.  Without [lane] the fault corrupts every
-    lane's view (and {!get}); with [lane l] only {!get_lane}[ ~lane:l]
-    — and {!get} iff [l = 0] — is corrupted, pinning one fault to one
-    lane of a multi-lane engine.  Used to validate that the
-    differential harness detects, localizes and shrinks a divergence,
-    and by the lane-parallel fault campaigns.  Once {!enable_events}
-    was called on the wrapper, the first corrupted read of each armed cycle also
-    records a [Fault] event on the port (caused by whatever last moved
-    it), so causality queries over the corrupted value reach the
-    injection.  Raises [Invalid_argument] for an unknown port or an
-    out-of-range lane. *)
+    (default [0]) cycles.  Used to validate that the differential
+    harness detects, localizes and shrinks a divergence.  Once
+    {!enable_events} was called on the wrapper, the first corrupted
+    read of each armed cycle also records a [Fault] event on the port
+    (caused by whatever last moved it), so causality queries over the
+    corrupted value reach the injection.  Raises [Invalid_argument]
+    for an unknown port. *)
 
 (** {1 Consolidated tracing}
 

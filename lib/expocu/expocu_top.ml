@@ -209,3 +209,35 @@ let rtl_top ?(config = default_config) () =
       p_reset = Reset_ctrl.rtl_module ();
     }
     config
+
+(* The camera-port protocol, against any simulator's callbacks. *)
+let power_on ?(target = 7) ~set ~step () =
+  set "ext_reset" 0;
+  set "target_bin" target;
+  set "sda_in" 0;
+  set "frame_sync" 0;
+  set "line_valid" 0;
+  set "pixel" 0;
+  for _ = 1 to 15 do
+    step ()
+  done
+
+let drive_frame ?(reset = true) ~set ~step ~read ~pixels ~pixel () =
+  if reset then power_on ~set ~step ();
+  set "frame_sync" 1;
+  (* the synchronizer's delay: fs_rising clears the histogram first *)
+  for _ = 1 to 4 do
+    step ()
+  done;
+  set "line_valid" 1;
+  for i = 0 to pixels - 1 do
+    pixel i;
+    step ()
+  done;
+  set "line_valid" 0;
+  set "frame_sync" 0;
+  (* scan, parameter update and the I2C write *)
+  let rec wait guard =
+    read "frame_done" <> 0 || (guard > 0 && (step (); wait (guard - 1)))
+  in
+  wait 4000

@@ -42,3 +42,36 @@ val st_wait_param : int
 val st_send : int
 val st_i2c_settle : int
 val st_wait_i2c : int
+
+(** {1 Driving a frame}
+
+    The camera-port protocol of the paper's application, written once
+    against callbacks so that every simulator drives the same sequence:
+    [set] drives an input port, [step] advances one clock cycle (the
+    place to sample a tracer or a shadow simulator), [read] reads an
+    output port. *)
+
+val power_on :
+  ?target:int ->
+  set:(string -> int -> unit) ->
+  step:(unit -> unit) ->
+  unit ->
+  unit
+(** Drive every input to its idle value ([target_bin] to [target],
+    default 7) and step through the 15-cycle power-on reset. *)
+
+val drive_frame :
+  ?reset:bool ->
+  set:(string -> int -> unit) ->
+  step:(unit -> unit) ->
+  read:(string -> int) ->
+  pixels:int ->
+  pixel:(int -> unit) ->
+  unit ->
+  bool
+(** One frame: {!power_on} (target bin 7) first unless [reset] is
+    [false]; then raise [frame_sync] and step 4 cycles, raise
+    [line_valid] and, for [i] from 0 to [pixels - 1], call [pixel i]
+    (which drives the [pixel] port) and step; drop both strobes and
+    step until [frame_done] reads non-zero, at most 4,000 cycles.
+    Returns whether [frame_done] arrived within that guard. *)

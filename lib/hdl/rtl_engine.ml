@@ -17,9 +17,6 @@ module Impl = struct
   let cycles = Rtl_sim.cycles
   let lanes _ = 1
 
-  let set_input_lane = Engine.single_lane "Rtl_engine" Rtl_sim.set_input
-  let get_lane = Engine.single_lane "Rtl_engine" Rtl_sim.get
-
   let stats sim =
     [
       ("settles", Rtl_sim.settles sim);

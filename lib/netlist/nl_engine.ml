@@ -37,19 +37,6 @@ let impl sim_kind =
     let cycles t = Nl_sim.cycles t.sim
     let lanes t = Nl_sim.lanes t.sim
 
-    let set_input_lane t ~lane name bv =
-      if lanes t = 1 then
-        Engine.single_lane "Nl_engine" set_input t ~lane name bv
-      else Nl_sim.set_input_lane t.sim ~lane name bv
-
-    (* Inputs echo the last broadcast value; per-lane input history is
-       not retained. *)
-    let get_lane t ~lane name =
-      if List.mem_assoc name t.outs then Nl_sim.get_output ~lane t.sim name
-      else if lane < 0 || lane >= lanes t then
-        invalid_arg (Printf.sprintf "Nl_engine.get_lane: lane %d" lane)
-      else echo t name
-
     let stats t =
       [
         ("gate_evals", Nl_sim.gate_evals t.sim);

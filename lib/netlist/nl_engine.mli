@@ -6,9 +6,9 @@
     outputs.  Plain [Engine.set_input] broadcasts to every lane,
     [Engine.get], [Engine.probes]/[Engine.probe] and [Engine.observe]
     address lane 0 — so in a lockstep differential against a scalar
-    engine the golden lane is what gets compared — and
-    [Engine.set_input_lane]/[Engine.get_lane] address individual
-    lanes. *)
+    engine the golden lane is what gets compared.  Individual lanes
+    are driven and read through the {!Nl_sim} handed to
+    {!pack_word}. *)
 
 val create : ?label:string -> ?mode:Nl_sim.mode -> Netlist.t -> Engine.t
 (** A 1-lane simulator; [kind] is ["netlist-event"] or ["netlist-full"]

@@ -309,11 +309,4 @@ let validate_jsonl text =
       in
       check 0 None rest
 
-let validate_file path =
-  let ic = open_in path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  validate_jsonl text
+let validate_file path = Result.bind (Json.read_file path) validate_jsonl

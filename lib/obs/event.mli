@@ -120,3 +120,5 @@ val validate_jsonl : string -> (int, string) result
     step share this single definition, like {!Report.validate}. *)
 
 val validate_file : string -> (int, string) result
+(** {!validate_jsonl} of a file's contents; [Error] also when the file
+    cannot be read. *)

@@ -266,6 +266,22 @@ let number_value = function
   | Float f -> Some f
   | _ -> None
 
+let read_file path =
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | text -> Ok text
+  | exception Sys_error msg -> Error msg
+
+let load path =
+  Result.bind (read_file path) (fun text ->
+      match of_string text with
+      | j -> Ok j
+      | exception Parse_error msg -> Error (path ^ ": " ^ msg))
+
 let save v path =
   let oc = open_out path in
   Fun.protect

@@ -32,5 +32,13 @@ val string_value : t -> string option
 val number_value : t -> float option
 (** Numeric value of [Int] or [Float]. *)
 
+val read_file : string -> (string, string) result
+(** Whole contents of a file; [Error] carries the [Sys_error] message
+    (which names the path) instead of raising. *)
+
+val load : string -> (t, string) result
+(** {!read_file} then {!of_string}: [Error] on an unreadable file or
+    on malformed JSON (prefixed with the path). *)
+
 val save : t -> string -> unit
 (** Pretty-print to a file with a trailing newline. *)

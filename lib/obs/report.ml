@@ -158,11 +158,4 @@ let validate_string text =
   | exception Json.Parse_error msg -> Error ("not valid JSON: " ^ msg)
   | json -> validate json
 
-let validate_file path =
-  let ic = open_in path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  validate_string text
+let validate_file path = Result.bind (Json.read_file path) validate_string

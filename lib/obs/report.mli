@@ -48,3 +48,5 @@ val validate : Json.t -> (unit, string) result
 val validate_string : string -> (unit, string) result
 
 val validate_file : string -> (unit, string) result
+(** {!validate_string} of a file's contents; [Error] also when the
+    file cannot be read. *)

@@ -81,9 +81,6 @@ module Impl = struct
   let cycles t = t.n_cycles
   let lanes _ = 1
 
-  let set_input_lane = Engine.single_lane "Kernel_engine" set_input
-  let get_lane = Engine.single_lane "Kernel_engine" get
-
   let stats t =
     [
       ("delta_cycles", Kernel.delta_count t.kernel);

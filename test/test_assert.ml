@@ -200,24 +200,12 @@ let test_expocu_monitor_clean () =
      one small frame of the real ExpoCU, and its checks actually ran. *)
   let sim = Rtl_sim.create (Expocu.Expocu_top.rtl_top ()) in
   let mon = Expocu.Monitors.expocu_monitor sim in
-  Rtl_sim.set_input_int sim "ext_reset" 0;
-  Rtl_sim.set_input_int sim "target_bin" 7;
-  Rtl_sim.set_input_int sim "sda_in" 0;
-  Rtl_sim.run sim 15;
-  Rtl_sim.set_input_int sim "frame_sync" 1;
-  Rtl_sim.run sim 4;
-  Rtl_sim.set_input_int sim "line_valid" 1;
-  for px = 0 to 31 do
-    Rtl_sim.set_input_int sim "pixel" (px * 8 mod 256);
-    Rtl_sim.step sim
-  done;
-  Rtl_sim.set_input_int sim "line_valid" 0;
-  Rtl_sim.set_input_int sim "frame_sync" 0;
-  let guard = ref 0 in
-  while Rtl_sim.get_int sim "frame_done" = 0 && !guard < 4000 do
-    Rtl_sim.step sim;
-    incr guard
-  done;
+  ignore
+    (Expocu.Expocu_top.drive_frame ~set:(Rtl_sim.set_input_int sim)
+       ~step:(fun () -> Rtl_sim.step sim)
+       ~read:(Rtl_sim.get_int sim) ~pixels:32
+       ~pixel:(fun px -> Rtl_sim.set_input_int sim "pixel" (px * 8 mod 256))
+       ());
   A.finish mon;
   List.iter (fun v -> Format.printf "%a@." A.pp_violation v) (A.violations mon);
   Alcotest.(check bool) "monitor clean on the real top" true (A.ok mon);

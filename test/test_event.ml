@@ -146,16 +146,19 @@ let test_checkpoint_netlist () =
   let nl = Backend.Opt.optimize (Backend.Lower.lower (acc_design ())) in
   check_replay (fun () -> Backend.Nl_engine.create nl)
 
-(* Word-parallel: distinct per-lane stimulus, per-lane comparison. *)
+(* Word-parallel: distinct per-lane stimulus, per-lane comparison.
+   Lanes are driven and read on the simulator; the engine wrapper
+   steps it and takes the checkpoint. *)
 let test_checkpoint_word () =
   let nl = Backend.Opt.optimize (Backend.Lower.lower (acc_design ())) in
-  let e = Backend.Nl_engine.create_word ~lanes:3 nl in
+  let sim = Backend.Nl_sim.create ~lanes:3 nl in
+  let e = Backend.Nl_engine.pack_word sim in
   let wstim c =
     for lane = 0 to Engine.lanes e - 1 do
       List.iteri
         (fun i (name, width) ->
           let rng = Random.State.make [| 11; c; i; lane |] in
-          Engine.set_input_lane e ~lane name
+          Backend.Nl_sim.set_input_lane sim ~lane name
             (Bitvec.init width (fun _ -> Random.State.bool rng)))
         (Engine.inputs e)
     done
@@ -168,7 +171,7 @@ let test_checkpoint_word () =
       for lane = 0 to Engine.lanes e - 1 do
         acc :=
           List.map
-            (fun (p, _) -> Engine.get_lane e ~lane p)
+            (fun (p, _) -> Backend.Nl_sim.get_output ~lane sim p)
             (Engine.outputs e)
           :: !acc
       done

@@ -575,30 +575,12 @@ let test_golden_loop_converges () =
 
 (* Drive one frame through a top-level and return (median, exposure). *)
 let run_frame sim (frame : int array) =
-  (* wait out power-on reset *)
-  Rtl_sim.set_input_int sim "ext_reset" 0;
-  Rtl_sim.set_input_int sim "target_bin" 7;
-  Rtl_sim.set_input_int sim "sda_in" 0;
-  Rtl_sim.run sim 15;
-  (* frame streaming *)
-  Rtl_sim.set_input_int sim "frame_sync" 1;
-  Rtl_sim.run sim 4;
-  (* sync delay so fs_rising clears the histogram before pixels *)
-  Rtl_sim.set_input_int sim "line_valid" 1;
-  Array.iter
-    (fun px ->
-      Rtl_sim.set_input_int sim "pixel" px;
-      Rtl_sim.step sim)
-    frame;
-  Rtl_sim.set_input_int sim "line_valid" 0;
-  Rtl_sim.set_input_int sim "frame_sync" 0;
-  (* scan + update + i2c transaction *)
-  let guard = ref 0 in
-  while Rtl_sim.get_int sim "frame_done" = 0 && !guard < 4000 do
-    Rtl_sim.step sim;
-    incr guard
-  done;
-  Alcotest.(check bool) "frame completed" true (!guard < 4000);
+  Alcotest.(check bool) "frame completed" true
+    (Expocu.Expocu_top.drive_frame ~set:(Rtl_sim.set_input_int sim)
+       ~step:(fun () -> Rtl_sim.step sim)
+       ~read:(Rtl_sim.get_int sim) ~pixels:(Array.length frame)
+       ~pixel:(fun i -> Rtl_sim.set_input_int sim "pixel" frame.(i))
+       ());
   (Rtl_sim.get_int sim "median_bin", Rtl_sim.get_int sim "exposure")
 
 let test_top_closed_loop () =

@@ -275,6 +275,28 @@ let test_report_rejects_corrupt () =
     | Ok () -> false
     | Error _ -> true)
 
+(* Unreadable input is an [Error], never an exception: a missing
+   report or event log, a missing or malformed JSON document. *)
+let test_unreadable_files () =
+  let missing =
+    Filename.concat (Filename.get_temp_dir_name ()) "osss-no-such-file.json"
+  in
+  let is_error = function Ok _ -> false | Error _ -> true in
+  Alcotest.(check bool) "report" true
+    (is_error (Obs.Report.validate_file missing));
+  Alcotest.(check bool) "event log" true
+    (is_error (Obs.Event.validate_file missing));
+  Alcotest.(check bool) "json load" true (is_error (Obs.Json.load missing));
+  let bad = Filename.temp_file "osss" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove bad)
+    (fun () ->
+      let oc = open_out bad in
+      output_string oc "{\"a\": ";
+      close_out oc;
+      Alcotest.(check bool) "malformed json" true
+        (is_error (Obs.Json.load bad)))
+
 (* A report as PR-3-era tooling wrote it (schema v1, no coverage
    section), frozen as text: old artifacts must keep validating. *)
 let v1_fixture =
@@ -523,6 +545,8 @@ let suite =
     Alcotest.test_case "report round-trip" `Quick (pristine test_report_roundtrip);
     Alcotest.test_case "report rejects corrupt" `Quick
       (pristine test_report_rejects_corrupt);
+    Alcotest.test_case "unreadable files" `Quick
+      (pristine test_unreadable_files);
     Alcotest.test_case "report v1 regression" `Quick
       (pristine test_report_v1_regression);
     Alcotest.test_case "report v2 regression" `Quick

@@ -254,8 +254,46 @@ let test_vcd_real_nested_scope () =
   Alcotest.(check bool) "real var in scope" true
     (contains "$var real 64" doc)
 
+(* expocu_sim --frames 1 --vcd (built by a rule in test/dune): the
+   trace samples every cycle, so frame_sync rises during the 4-cycle
+   synchronizer wait, before line_valid rises with the first pixel,
+   and the power-on reset cycles are recorded too. *)
+let test_expocu_sim_vcd_edges () =
+  let lines =
+    In_channel.with_open_text "expocu_frame.vcd" In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  let id_of name =
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "$var"; "wire"; "1"; id; n; "$end" ] when n = name -> Some id
+        | _ -> None)
+      lines
+    |> Option.get
+  in
+  let first_rise name =
+    let rise = "1" ^ id_of name in
+    let rec go time = function
+      | [] -> Alcotest.failf "%s never rises" name
+      | l :: rest when String.length l > 1 && l.[0] = '#' ->
+          go (int_of_string (String.sub l 1 (String.length l - 1))) rest
+      | l :: _ when l = rise -> time
+      | _ :: rest -> go time rest
+    in
+    go (-1) lines
+  in
+  let sync = first_rise "frame_sync" and valid = first_rise "line_valid" in
+  Alcotest.(check bool) "frame_sync rises before line_valid" true
+    (sync < valid);
+  Alcotest.(check int) "four synchronizer cycles between them" 4
+    (valid - sync);
+  Alcotest.(check bool) "reset cycles traced" true
+    (List.mem "#1" lines)
+
 let suite =
   [
+    Alcotest.test_case "expocu_sim vcd edges" `Quick test_expocu_sim_vcd_edges;
     Alcotest.test_case "rtl trace vcd" `Quick test_rtl_trace_vcd;
     Alcotest.test_case "vcd id allocation past 94" `Quick test_vcd_many_signals;
     Alcotest.test_case "vcd non-monotonic time" `Quick

@@ -419,32 +419,17 @@ let test_word_engine () =
   Alcotest.(check int) "word lanes" 8 (Engine.lanes e);
   let s = Backend.Nl_engine.create nl in
   Alcotest.(check int) "scalar lanes" 1 (Engine.lanes s);
-  Alcotest.check_raises "scalar rejects lane 1"
-    (Invalid_argument "Nl_engine: scalar backend has a single lane")
-    (fun () -> Engine.set_input_lane s ~lane:1 "reset" (Bitvec.of_bool true));
   Engine.set_input_int e "reset" 1;
   Engine.step e;
   Engine.set_input_int e "reset" 0;
   Engine.run e 3;
   Alcotest.(check int) "broadcast counts" 3 (Engine.get_int e "count");
-  Alcotest.(check int) "last lane counts too" 3
-    (Bitvec.to_int (Engine.get_lane e ~lane:7 "count"));
-  Alcotest.check_raises "fault lane range checked"
-    (Invalid_argument "Engine.inject_fault: lane 9 out of range (8 lanes)")
-    (fun () -> ignore (Engine.inject_fault ~lane:9 ~port:"count" e));
-  let f = Engine.inject_fault ~lane:5 ~port:"count" e in
-  Alcotest.(check bool)
-    "label names the lane" true
-    (String.length (Engine.label f) > 2
-    && String.sub (Engine.label f)
-         (String.length (Engine.label f) - 2)
-         2
-       = "@5");
-  Alcotest.(check int) "pinned lane sees the flip" (3 lxor 1)
-    (Bitvec.to_int (Engine.get_lane f ~lane:5 "count"));
-  Alcotest.(check int) "other lanes are clean" 3
-    (Bitvec.to_int (Engine.get_lane f ~lane:4 "count"));
-  Alcotest.(check int) "plain view (lane 0) is clean" 3 (Engine.get_int f "count")
+  let f = Engine.inject_fault ~port:"count" e in
+  Alcotest.(check string) "label names the port" "netlist-word+fault:count"
+    (Engine.label f);
+  Alcotest.(check int) "wrapper keeps the lanes" 8 (Engine.lanes f);
+  Alcotest.(check int) "faulted view flips bit 0" (3 lxor 1)
+    (Engine.get_int f "count")
 
 let test_lane_cover () =
   let nl = Backend.Lower.lower (counter_design ()) in
