@@ -453,11 +453,13 @@ let bench_json ~profile () =
           ("patterns_per_sec", Float (cps (cycles * lanes) s));
         ]
     in
+    let event_driven = wmode Backend.Nl_sim.Event_driven in
+    let full_eval = wmode Backend.Nl_sim.Full_eval in
     Obj
       [
         ("lanes", Int lanes);
-        ("event_driven", wmode Backend.Nl_sim.Event_driven);
-        ("full_eval", wmode Backend.Nl_sim.Full_eval);
+        ("event_driven", event_driven);
+        ("full_eval", full_eval);
       ]
   in
   let perf_gate_detail = measure_perf_gate () in
@@ -478,57 +480,66 @@ let bench_json ~profile () =
   in
   let rank raw = Obs.Profile.to_json (Obs.Profile.top raw) in
   let rtl_activity = Rtl_sim.process_activity rtl in
+  (* OCaml evaluates the elements of a list literal right to left, so
+     every section that runs or reads something is bound here, in
+     document order: the histograms and profiles must be read after
+     the word-parallel sweep has run. *)
+  let netlist =
+    Obj
+      [
+        ("comb_cells", Int (Backend.Nl_sim.comb_cells ev));
+        ("dff_cells", Int (Backend.Nl_sim.dff_cells ev));
+        ( "event_driven",
+          mode_obj ev ev_s
+            [ ("cells_skipped", Int (Backend.Nl_sim.cells_skipped ev)) ] );
+        ("full_eval", mode_obj fl fl_s []);
+        ( "evals_per_cycle_ratio",
+          Float
+            (per_cycle (Backend.Nl_sim.gate_evals ev) ev
+            /. per_cycle (Backend.Nl_sim.gate_evals fl) fl) );
+      ]
+  in
+  let sweep = List.map sweep_entry [ 1; 8; 64 ] in
+  let rtl_section =
+    Obj
+      [
+        ("cycles", Int rtl_cycles);
+        ("process_runs", Int (Rtl_sim.comb_runs rtl));
+        ("process_skips", Int (Rtl_sim.comb_skips rtl));
+        ( "runs_per_cycle",
+          Float
+            (float_of_int (Rtl_sim.comb_runs rtl) /. float_of_int rtl_cycles) );
+        ("cycles_per_sec", Float (cps rtl_cycles rtl_s));
+      ]
+  in
+  let histograms = Obs.Hist.all_to_json () in
+  let profiles =
+    Obj
+      [
+        ("hot_nets", rank (Cover.Toggle.activity ev_cov));
+        ("hot_cells", rank (Backend.Nl_sim.cell_activity ev));
+        ("hot_processes", rank rtl_activity);
+        ("hot_modules", rank (Obs.Profile.by_module rtl_activity));
+      ]
+  in
   let doc =
     Obj
       [
         ("workload", String "expocu_frame");
         ("pixels", Int pixels);
-        ( "netlist",
-          Obj
-            [
-              ("comb_cells", Int (Backend.Nl_sim.comb_cells ev));
-              ("dff_cells", Int (Backend.Nl_sim.dff_cells ev));
-              ( "event_driven",
-                mode_obj ev ev_s
-                  [ ("cells_skipped", Int (Backend.Nl_sim.cells_skipped ev)) ]
-              );
-              ("full_eval", mode_obj fl fl_s []);
-              ( "evals_per_cycle_ratio",
-                Float
-                  (per_cycle (Backend.Nl_sim.gate_evals ev) ev
-                  /. per_cycle (Backend.Nl_sim.gate_evals fl) fl) );
-            ] );
+        ("netlist", netlist);
         ( "word_parallel",
           Obj
             [
-              ("lane_bits", Int Backend.Nl_sim.lane_bits);
-              ("sweep", List (List.map sweep_entry [ 1; 8; 64 ]));
+              ("lane_bits", Int Backend.Nl_sim.lane_bits); ("sweep", List sweep);
             ] );
         ("perf_gate", perf_gate_detail);
         ("hierarchy", hierarchy_detail);
         ("power", power_detail);
         ("parallel", parallel_detail);
-        ( "rtl",
-          Obj
-            [
-              ("cycles", Int rtl_cycles);
-              ("process_runs", Int (Rtl_sim.comb_runs rtl));
-              ("process_skips", Int (Rtl_sim.comb_skips rtl));
-              ( "runs_per_cycle",
-                Float
-                  (float_of_int (Rtl_sim.comb_runs rtl)
-                  /. float_of_int rtl_cycles) );
-              ("cycles_per_sec", Float (cps rtl_cycles rtl_s));
-            ] );
-        ("histograms", Obs.Hist.all_to_json ());
-        ( "profiles",
-          Obj
-            [
-              ("hot_nets", rank (Cover.Toggle.activity ev_cov));
-              ("hot_cells", rank (Backend.Nl_sim.cell_activity ev));
-              ("hot_processes", rank rtl_activity);
-              ("hot_modules", rank (Obs.Profile.by_module rtl_activity));
-            ] );
+        ("rtl", rtl_section);
+        ("histograms", histograms);
+        ("profiles", profiles);
       ]
   in
   Obs.Json.save doc "BENCH_sim.json";

@@ -57,7 +57,6 @@ let checkpoint (Pack ((module M), e, l)) =
 
 let restore ck = ck.ck_restore ()
 let checkpoint_cycle ck = ck.ck_cycle
-let checkpoint_label ck = ck.ck_label
 
 let run e n =
   for _ = 1 to n do

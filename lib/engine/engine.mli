@@ -138,7 +138,6 @@ val checkpoint : t -> checkpoint option
 
 val restore : checkpoint -> unit
 val checkpoint_cycle : checkpoint -> int
-val checkpoint_label : checkpoint -> string
 
 val inject_fault : ?from_cycle:int -> port:string -> t -> t
 (** A wrapper engine that behaves exactly like the inner one except

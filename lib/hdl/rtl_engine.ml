@@ -37,5 +37,5 @@ module Impl = struct
     Some (fun () -> Rtl_sim.restore sim ck)
 end
 
-let of_sim ?label sim = Engine.pack ?label (module Impl) sim
-let create ?label design = of_sim ?label (Rtl_sim.create design)
+let create ?label design =
+  Engine.pack ?label (module Impl) (Rtl_sim.create design)

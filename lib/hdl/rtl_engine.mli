@@ -3,5 +3,4 @@
     [kind] is ["rtl-interp"]; ports come from the (flattened) design,
     [stats] exposes the interpreter's activity counters. *)
 
-val of_sim : ?label:string -> Rtl_sim.t -> Engine.t
 val create : ?label:string -> Ir.module_def -> Engine.t

@@ -415,15 +415,10 @@ let fault_campaign ?(cycles = 500) ?(seed = 42) ?(drive = fun _ (_, r) -> r)
   @@ fun () ->
   let shards = Par.chunks ~shards:jobs faults in
   let parts =
-    if Array.length shards = 1 then
-      (* Serial path: no pool, one shard carrying the whole fault list
-         — the exact pre-sharding code. *)
-      [| campaign_shard ~cycles ~seed ~drive ~mode ~shrink nl shards.(0) |]
-    else
-      Par.map ~jobs
-        ~label:(fun i -> Printf.sprintf "fault-shard-%d" i)
-        (fun i -> campaign_shard ~cycles ~seed ~drive ~mode ~shrink nl shards.(i))
-        (Array.length shards)
+    Par.map ~jobs
+      ~label:(fun i -> Printf.sprintf "fault-shard-%d" i)
+      (fun i -> campaign_shard ~cycles ~seed ~drive ~mode ~shrink nl shards.(i))
+      (Array.length shards)
   in
   (* Merge in shard order.  Lanes re-index to the fault's position in
      the campaign's full fault list (1-based, as before), so the merged
@@ -477,9 +472,9 @@ let differential_sweep ?(cycles = 500) ?(drive = fun _ (_, r) -> r)
   @@ fun () ->
   (* One shard per seed: each runs a full lockstep differential with
      its own fresh engines (factories are invoked on the shard's
-     domain, honouring the one-engine-per-domain contract), and the
-     work-stealing pool balances uneven seeds — one that diverges pays
-     for shrink and replay, the rest are straight runs. *)
+     domain, honouring the one-engine-per-domain contract).  Domains
+     claim seeds one at a time, so uneven seeds balance — one that
+     diverges pays for shrink and replay, the rest are straight runs. *)
   let results =
     Par.map ~jobs
       ~label:(fun i -> Printf.sprintf "sweep-seed-%d" seed_arr.(i))

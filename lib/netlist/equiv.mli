@@ -147,7 +147,7 @@ val fault_campaign :
     fault order.  The stimulus is broadcast and faults are
     lane-isolated, so the merged [fault_results] — detection cycle,
     port, site, shrunk reproducer — are {e identical for every [jobs]}
-    ([jobs = 1] runs the pre-sharding serial code inline).  Of the
+    ([jobs = 1] runs the one shard inline on the calling domain).  Of the
     aggregates, [campaign_cycles] is the max over shards (equal to the
     serial figure) while [campaign_gate_evals] sums the work actually
     spent, which legitimately varies with the sharding. *)
@@ -165,10 +165,10 @@ val differential_sweep :
     {!differential} per stimulus seed — fresh engines each, created on
     the shard's own domain — and returns the per-seed results in seed
     order, [jobs] (default [Par.default_jobs ()]) sweeps at a time.
-    One shard per seed: the work-stealing pool absorbs the cost skew
-    of a diverging seed (shrink + events-on replay) against the
-    straight-through ones.  Raises [Invalid_argument] with fewer than
-    two factories. *)
+    One shard per seed, claimed one at a time by whichever domain is
+    free, so the cost skew of a diverging seed (shrink + events-on
+    replay) does not hold up the straight-through ones.  Raises
+    [Invalid_argument] with fewer than two factories. *)
 
 val ir_vs_netlist :
   ?cycles:int ->

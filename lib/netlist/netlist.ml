@@ -24,7 +24,6 @@ type t = {
      terms instead of raw net ids. *)
   regions : (net, string) Hashtbl.t;
   hints : (net, string) Hashtbl.t;
-  mutable cur_region : string;
 }
 
 let create ?(fold = true) ~name () =
@@ -44,7 +43,6 @@ let create ?(fold = true) ~name () =
     c1 = None;
     regions = Hashtbl.create 64;
     hints = Hashtbl.create 64;
-    cur_region = "";
   }
 
 let name t = t.nl_name
@@ -60,8 +58,6 @@ let record_cell t kind ins out =
   t.cell_list <- c :: t.cell_list;
   t.n_cells <- t.n_cells + 1;
   Hashtbl.replace t.drivers out c;
-  if t.cur_region <> "" && not (Hashtbl.mem t.regions out) then
-    Hashtbl.replace t.regions out t.cur_region;
   out
 
 let cse_key kind ins =
@@ -216,9 +212,6 @@ let net_count t = t.next_net
 let driver t n = Hashtbl.find_opt t.drivers n
 
 (* Hierarchy annotations. *)
-
-let set_current_region t path = t.cur_region <- path
-let current_region t = t.cur_region
 
 let region_of t n =
   match Hashtbl.find_opt t.regions n with Some r -> r | None -> ""

@@ -76,11 +76,6 @@ val driver : t -> net -> cell option
     breakdowns, coverage names, profiles and fault sites all speak the
     same hierarchical language. *)
 
-val set_current_region : t -> string -> unit
-(** Cells recorded while a region is set are tagged with it; [""]
-    (the initial state) turns tagging off. *)
-
-val current_region : t -> string
 val region_of : t -> net -> string
 (** Owning instance path of the cell driving [net]; [""] for the top
     module, primary inputs and untagged nets. *)

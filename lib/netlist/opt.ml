@@ -15,13 +15,6 @@ let mark_live nl =
   done;
   live
 
-let live_cells nl =
-  let live = mark_live nl in
-  List.length
-    (List.filter
-       (fun (c : Netlist.cell) -> Hashtbl.mem live c.out)
-       (Netlist.cells nl))
-
 let optimize nl =
   let live = mark_live nl in
   let fresh = Netlist.create ~fold:true ~name:(Netlist.name nl) () in

@@ -9,6 +9,3 @@
 
 val optimize : Netlist.t -> Netlist.t
 (** Dead-cell elimination plus re-folding. *)
-
-val live_cells : Netlist.t -> int
-(** Number of cells reachable from the primary outputs. *)

@@ -18,7 +18,6 @@ let () =
    histogram, visible in run reports next to the simulator figures. *)
 let ctr_batches = Perf.counter "par.batches"
 let ctr_shards = Perf.counter "par.shards"
-let ctr_steals = Perf.counter "par.steals"
 let h_shard_ms = Obs.Hist.histogram "par.shard_ms"
 
 let default =
@@ -42,276 +41,63 @@ let chunks ~shards xs =
 
 let default_label i = "shard-" ^ string_of_int i
 
-(* The serial path: exactly what a plain [Array.init] would do, plus
-   the failure-provenance wrapper.  [jobs = 1] maps (and nested maps)
-   go through here, which is what makes --jobs 1 bit-identical to the
-   pre-pool code. *)
-let serial_map ~label f n =
-  Perf.incr ctr_batches;
-  Array.init n (fun i ->
-      Perf.incr ctr_shards;
-      let t0 = Unix.gettimeofday () in
-      match f i with
-      | v ->
-          if Obs.Hist.enabled () then
-            Obs.Hist.observe h_shard_ms ((Unix.gettimeofday () -. t0) *. 1000.0);
-          v
-      | exception e ->
-          let backtrace = Printexc.get_backtrace () in
-          raise (Shard_failure { shard = i; label = label i; exn = e; backtrace }))
+(* True on a domain while it runs a shard: a map issued from inside
+   one runs inline instead of spawning domains of its own. *)
+let in_shard = Domain.DLS.new_key (fun () -> false)
 
-(* One mutex-protected deque of shard indices per pool participant.
-   The owner pops from the front; thieves steal from the back, so a
-   stolen shard is the one the owner would have reached last. *)
-module Deque = struct
-  type t = { m : Mutex.t; ids : int array; mutable lo : int; mutable hi : int }
-
-  let make ids = { m = Mutex.create (); ids; lo = 0; hi = Array.length ids }
-
-  let pop_front d =
-    Mutex.protect d.m (fun () ->
-        if d.lo < d.hi then begin
-          let x = d.ids.(d.lo) in
-          d.lo <- d.lo + 1;
-          Some x
-        end
-        else None)
-
-  let steal_back d =
-    Mutex.protect d.m (fun () ->
-        if d.lo < d.hi then begin
-          d.hi <- d.hi - 1;
-          Some d.ids.(d.hi)
-        end
-        else None)
-
-  let drain d =
-    Mutex.protect d.m (fun () ->
-        let n = d.hi - d.lo in
-        d.lo <- d.hi;
-        n)
-end
-
-type failure = {
-  f_shard : int;
-  f_label : string;
-  f_exn : exn;
-  f_backtrace : string;
-}
-
-(* One batch of shards: the per-participant deques, the shard body
-   (which never raises — failures land in [failed]), and the
-   completion latch.  [pending] counts shards not yet executed or
-   cancelled; the participant that brings it to zero broadcasts
-   [done_cv]. *)
-type batch = {
-  deques : Deque.t array;
-  run : int -> unit;
-  pending : int Atomic.t;
-  failed : failure option Atomic.t;
-  done_m : Mutex.t;
-  done_cv : Condition.t;
-}
-
-module Pool = struct
-  type t = {
-    pjobs : int;
-    m : Mutex.t;
-    work_cv : Condition.t;
-    mutable gen : int;  (* batch generation, under [m] *)
-    mutable current : (int * batch) option;  (* under [m] *)
-    mutable stopping : bool;  (* under [m] *)
-    mutable workers : unit Domain.t list;
-  }
-
-  let jobs t = t.pjobs
-
-  let finish_shards batch n =
-    if n > 0 then
-      if Atomic.fetch_and_add batch.pending (-n) - n = 0 then
-        Mutex.protect batch.done_m (fun () ->
-            Condition.broadcast batch.done_cv)
-
-  (* Cancellation: after a failure, every queued shard is dropped
-     (counted off [pending] so the latch still releases). *)
-  let drain_all batch =
-    let dropped =
-      Array.fold_left (fun acc d -> acc + Deque.drain d) 0 batch.deques
-    in
-    finish_shards batch dropped
-
-  let next_shard batch me =
-    match Deque.pop_front batch.deques.(me) with
-    | Some _ as s -> s
-    | None ->
-        let n = Array.length batch.deques in
-        let rec steal k =
-          if k >= n then None
-          else
-            match Deque.steal_back batch.deques.((me + k) mod n) with
-            | Some _ as s ->
-                Perf.incr ctr_steals;
-                s
-            | None -> steal (k + 1)
-        in
-        steal 1
-
-  (* Participant [me] works the batch until no shard is reachable. *)
-  let work batch me =
-    let rec go () =
-      match next_shard batch me with
-      | None -> ()
-      | Some shard ->
-          batch.run shard;
-          finish_shards batch 1;
-          if Atomic.get batch.failed <> None then drain_all batch;
-          go ()
-    in
-    go ()
-
-  let worker_loop pool me =
-    let rec loop last_gen =
-      Mutex.lock pool.m;
-      let rec await () =
-        if pool.stopping then None
-        else
-          match pool.current with
-          | Some (g, b) when g <> last_gen -> Some (g, b)
-          | _ ->
-              Condition.wait pool.work_cv pool.m;
-              await ()
-      in
-      let job = await () in
-      Mutex.unlock pool.m;
-      match job with
-      | None -> ()
-      | Some (g, batch) ->
-          work batch me;
-          loop g
-    in
-    loop 0
-
-  let create ?jobs () =
-    let pjobs = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
-    let pool =
-      {
-        pjobs;
-        m = Mutex.create ();
-        work_cv = Condition.create ();
-        gen = 0;
-        current = None;
-        stopping = false;
-        workers = [];
-      }
-    in
-    (* Participant 0 is the caller; workers take participant slots
-       1 .. jobs-1. *)
-    pool.workers <-
-      List.init (pjobs - 1) (fun w ->
-          Domain.spawn (fun () -> worker_loop pool (w + 1)));
-    pool
-
-  let shutdown pool =
-    let workers =
-      Mutex.protect pool.m (fun () ->
-          pool.stopping <- true;
-          Condition.broadcast pool.work_cv;
-          let ws = pool.workers in
-          pool.workers <- [];
-          ws)
-    in
-    List.iter Domain.join workers
-
-  let with_pool ?jobs f =
-    let pool = create ?jobs () in
-    Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
-  let map ?(label = default_label) pool f n =
-    if n = 0 then [||]
-    else begin
-      let nested =
-        pool.pjobs > 1 && Mutex.protect pool.m (fun () -> pool.current <> None)
-      in
-      if pool.pjobs = 1 || n = 1 || nested then serial_map ~label f n
-      else begin
-        Perf.incr ctr_batches;
-        let results = Array.make n None in
-        let participants = min pool.pjobs n in
-        (* Deal shards round-robin so every participant starts with
-           nearby work; stealing rebalances the tail. *)
-        let dealt = Array.make participants [] in
-        for i = n - 1 downto 0 do
-          dealt.(i mod participants) <- i :: dealt.(i mod participants)
-        done;
-        let deques = Array.map (fun ids -> Deque.make (Array.of_list ids)) dealt in
-        let failed = Atomic.make None in
-        let run i =
-          if Atomic.get failed = None then begin
-            Perf.incr ctr_shards;
-            let t0 = Unix.gettimeofday () in
-            (match f i with
-            | v ->
-                results.(i) <- Some v;
-                if Obs.Hist.enabled () then
-                  Obs.Hist.observe h_shard_ms
-                    ((Unix.gettimeofday () -. t0) *. 1000.0)
-            | exception e ->
-                let bt = Printexc.get_backtrace () in
-                ignore
-                  (Atomic.compare_and_set failed None
-                     (Some
-                        {
-                          f_shard = i;
-                          f_label = label i;
-                          f_exn = e;
-                          f_backtrace = bt;
-                        })))
-          end
-        in
-        let batch =
-          {
-            deques;
-            run;
-            pending = Atomic.make n;
-            failed;
-            done_m = Mutex.create ();
-            done_cv = Condition.create ();
-          }
-        in
-        Mutex.protect pool.m (fun () ->
-            pool.gen <- pool.gen + 1;
-            pool.current <- Some (pool.gen, batch);
-            Condition.broadcast pool.work_cv);
-        (* The caller works the batch too, then waits for stragglers. *)
-        work batch 0;
-        Mutex.lock batch.done_m;
-        while Atomic.get batch.pending > 0 do
-          Condition.wait batch.done_cv batch.done_m
-        done;
-        Mutex.unlock batch.done_m;
-        Mutex.protect pool.m (fun () -> pool.current <- None);
-        match Atomic.get batch.failed with
-        | Some { f_shard; f_label; f_exn; f_backtrace } ->
-            raise
-              (Shard_failure
-                 {
-                   shard = f_shard;
-                   label = f_label;
-                   exn = f_exn;
-                   backtrace = f_backtrace;
-                 })
-        | None ->
-            Array.map
-              (function Some v -> v | None -> assert false (* all ran *))
-              results
-      end
-    end
-end
+(* Run shard [i], timing it into the histogram; a raise comes back as
+   the [Shard_failure] that names the shard. *)
+let run_shard ~label f i =
+  Perf.incr ctr_shards;
+  let t0 = Unix.gettimeofday () in
+  let outer = Domain.DLS.get in_shard in
+  Domain.DLS.set in_shard true;
+  match f i with
+  | v ->
+      Domain.DLS.set in_shard outer;
+      if Obs.Hist.enabled () then
+        Obs.Hist.observe h_shard_ms ((Unix.gettimeofday () -. t0) *. 1000.0);
+      v
+  | exception e ->
+      let backtrace = Printexc.get_backtrace () in
+      Domain.DLS.set in_shard outer;
+      raise (Shard_failure { shard = i; label = label i; exn = e; backtrace })
 
 let map ?jobs ?(label = default_label) f n =
   let jobs = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
-  if jobs = 1 || n <= 1 then (if n = 0 then [||] else serial_map ~label f n)
-  else Pool.with_pool ~jobs (fun pool -> Pool.map ~label pool f n)
+  if n = 0 then [||]
+  else begin
+    Perf.incr ctr_batches;
+    if jobs = 1 || n = 1 || Domain.DLS.get in_shard then
+      (* Inline: exactly a plain [Array.init], stopping at the first
+         failure — which is what makes --jobs 1 bit-identical to a
+         serial loop. *)
+      Array.init n (run_shard ~label f)
+    else begin
+      (* Every participant, the caller included, claims the next
+         unstarted shard off one counter; shard [i] writes slot [i].
+         After the first failure, unstarted shards are skipped. *)
+      let results = Array.make n None in
+      let next = Atomic.make 0 in
+      let failed = Atomic.make None in
+      let rec work () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n && Option.is_none (Atomic.get failed) then begin
+          (match run_shard ~label f i with
+          | v -> results.(i) <- Some v
+          | exception e ->
+              ignore (Atomic.compare_and_set failed None (Some e)));
+          work ()
+        end
+      in
+      let helpers = List.init (min jobs n - 1) (fun _ -> Domain.spawn work) in
+      work ();
+      List.iter Domain.join helpers;
+      match Atomic.get failed with
+      | Some e -> raise e
+      | None -> Array.map Option.get results
+    end
+  end
 
 let map_list ?jobs ?label f xs =
   let arr = Array.of_list xs in

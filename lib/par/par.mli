@@ -1,5 +1,5 @@
-(** Multicore campaign runtime: a fixed-size [Domain] pool with
-    work-stealing shard deques and deterministic shard→result ordering.
+(** Multicore campaign runtime: one [map] that runs shards on OCaml 5
+    domains with deterministic shard→result ordering.
 
     The simulation campaigns this repo runs — stuck-at fault campaigns,
     multi-seed coverage closure, N-way differential sweeps — are
@@ -9,22 +9,21 @@
     This module supplies the runtime underneath them:
 
     {ul
-    {- {b Determinism.}  [map pool f n] always returns
+    {- {b Determinism.}  [map f n] always returns
        [[| f 0; …; f (n-1) |]]: every shard writes its result into its
        own slot, so the output order never depends on execution order,
        and [jobs = 1] runs the shards inline on the calling domain
        without spawning anything — bit-identical to a serial loop.}
-    {- {b Work stealing.}  Shards are dealt round-robin into one deque
-       per participant; an idle participant pops its own deque from the
-       front and steals from the back of a neighbour's, so an uneven
-       shard (one fault that shrinks expensively) does not serialize
-       the batch.}
+    {- {b Dynamic balance.}  Every participant, the caller included,
+       claims the next unstarted shard off one shared atomic counter,
+       so an uneven shard (one fault that shrinks expensively) does not
+       serialize the batch.}
     {- {b Failure propagation.}  The first shard to raise wins: its
        exception is captured with shard provenance, every not-yet-begun
-       shard is cancelled (skipped), the pool drains cleanly and the
-       caller receives {!Shard_failure}.}}
+       shard is skipped, the spawned domains are joined and the caller
+       receives {!Shard_failure}.}}
 
-    {b Thread affinity}: the shard function runs on an arbitrary pool
+    {b Thread affinity}: the shard function runs on an arbitrary
     domain.  Everything it touches must be domain-safe or domain-local
     — in particular, simulation engines must be created {e inside} the
     shard and never shared across shards (see the contract note in
@@ -39,9 +38,9 @@ exception
     exn : exn;  (** the original exception *)
     backtrace : string;  (** backtrace captured on the shard's domain *)
   }
-(** Raised by {!map} (and {!Pool.map}) when a shard raises: the batch
-    is aborted — shards not yet started are skipped — and the original
-    exception re-raised with shard provenance. *)
+(** Raised by {!map} when a shard raises: the batch is aborted —
+    shards not yet started are skipped — and the original exception
+    re-raised with shard provenance. *)
 
 val default_jobs : unit -> int
 (** The process-wide default worker count used when [?jobs] is omitted.
@@ -59,47 +58,21 @@ val chunks : shards:int -> 'a list -> 'a list array
     one chunk; never returns more chunks than [xs] has elements —
     except for the empty list, which yields one empty chunk. *)
 
-(** {1 Persistent pools}
-
-    A pool spawns its worker domains once and reuses them across
-    batches — use one pool for a whole campaign instead of paying the
-    domain spawn/join cost per {!map}. *)
-
-module Pool : sig
-  type t
-
-  val create : ?jobs:int -> unit -> t
-  (** [create ~jobs ()] spawns [jobs - 1] worker domains (the caller
-      participates as the remaining worker during {!map}).  [jobs]
-      defaults to {!default_jobs}[ ()] and is clamped to at least 1;
-      [jobs = 1] spawns nothing and {!map} degenerates to an inline
-      serial loop. *)
-
-  val jobs : t -> int
-
-  val map : ?label:(int -> string) -> t -> (int -> 'a) -> int -> 'a array
-  (** [map pool f n] evaluates [f i] for [i] in [0 .. n-1] across the
-      pool and returns the results indexed by [i] — deterministically,
-      regardless of execution interleaving.  [label] names shards for
-      failure provenance and the ["par.shard_ms"] histogram.  A batch
-      issued from inside a running shard (nested parallelism) falls
-      back to an inline serial loop rather than deadlocking.  Raises
-      {!Shard_failure} if any shard raises. *)
-
-  val shutdown : t -> unit
-  (** Join the worker domains.  Idempotent; the pool is unusable
-      afterwards. *)
-
-  val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-  (** [create], run, [shutdown] (also on exception). *)
-end
-
-(** {1 One-shot maps} *)
-
 val map : ?jobs:int -> ?label:(int -> string) -> (int -> 'a) -> int -> 'a array
-(** [map ~jobs f n] is {!Pool.with_pool}[ ~jobs (fun p -> Pool.map p f n)]
-    — with the serial fast path: [jobs = 1] (or [n <= 1]) runs inline
-    without touching domains at all. *)
+(** [map ~jobs f n] evaluates [f i] for [i] in [0 .. n-1] on
+    [min jobs n] participants — the caller and [min jobs n - 1] domains
+    spawned for this call and joined before it returns — and returns
+    the results indexed by [i], regardless of execution interleaving.
+    [jobs] defaults to {!default_jobs}[ ()] and is clamped to at least
+    1.  [label] names shards for failure provenance.  With histograms
+    enabled, each shard's wall-clock lands in ["par.shard_ms"]; the
+    ["par.batches"] and ["par.shards"] counters count non-empty calls
+    and shards run.
+
+    [jobs = 1], [n <= 1], and a map issued from inside a running shard
+    (nested parallelism) run inline on the calling domain, in index
+    order, stopping at the first failure.  Raises {!Shard_failure} if
+    any shard raises. *)
 
 val map_list : ?jobs:int -> ?label:(int -> string) -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list f xs]: {!map} over a list, preserving order. *)

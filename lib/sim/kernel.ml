@@ -155,7 +155,6 @@ let wake_counts k =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let make_event kernel ev_name = { ev_name; kernel; static = []; dynamic = [] }
-let event_name e = e.ev_name
 
 let subscribe_static e f = e.static <- f :: e.static
 let subscribe_once e f = e.dynamic <- f :: e.dynamic
@@ -172,7 +171,6 @@ let notify e =
   k.woken <- List.fold_left (fun acc f -> f :: acc) k.woken (List.rev e.static);
   e.dynamic <- []
 
-let schedule_now k f = Queue.push f k.runnable
 let schedule_update k f = k.updates <- f :: k.updates
 let schedule_at k delay f = Timed_queue.push k.timed ~at:(k.now + delay) f
 let notify_after e delay = schedule_at e.kernel delay (fun () -> notify e)

@@ -51,7 +51,6 @@ val enable_events : t -> unit
 (** {1 Events} *)
 
 val make_event : t -> string -> event
-val event_name : event -> string
 
 val subscribe_static : event -> (unit -> unit) -> unit
 (** Persistent subscription (static sensitivity): the callback is made
@@ -67,9 +66,6 @@ val notify_after : event -> time -> unit
 (** Timed notification [delay] picoseconds from now. *)
 
 (** {1 Processes and scheduling} *)
-
-val schedule_now : t -> (unit -> unit) -> unit
-(** Make a thunk runnable in the current evaluation phase. *)
 
 val schedule_update : t -> (unit -> unit) -> unit
 (** Register a commit action for the coming update phase (used by

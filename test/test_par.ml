@@ -101,6 +101,27 @@ let test_nested_map () =
     "nested maps compute serially" (Array.init 6 (fun i -> (10 * i) + 45))
     outer
 
+let test_nested_map_inline () =
+  (* The inner map must not spawn domains of its own: every inner
+     shard runs on the domain of the outer shard that issued it.  The
+     sleep makes shards long enough that a spawned domain would take
+     some of them. *)
+  let self () = (Domain.self () :> int) in
+  let outer =
+    Par.map ~jobs:2
+      (fun _ ->
+        let mine = self () in
+        Par.map ~jobs:2
+          (fun _ ->
+            Unix.sleepf 0.002;
+            self () = mine)
+          8
+        |> Array.for_all Fun.id)
+      4
+  in
+  Alcotest.(check (array bool))
+    "inner shards stay on the outer shard's domain" (Array.make 4 true) outer
+
 (* ------------------------------------------------------------------ *)
 (* Sharded fault campaign determinism                                  *)
 
@@ -347,6 +368,7 @@ let suite =
     Alcotest.test_case "failure provenance" `Quick test_failure_provenance;
     Alcotest.test_case "serial cancellation" `Quick test_serial_cancellation;
     Alcotest.test_case "nested map" `Quick test_nested_map;
+    Alcotest.test_case "nested map inline" `Quick test_nested_map_inline;
     Alcotest.test_case "campaign jobs identity" `Quick
       test_campaign_jobs_identity;
     Alcotest.test_case "campaign shrunk identity" `Quick
